@@ -35,8 +35,10 @@ type Engine struct {
 	Listener net.Listener
 	// Addr is the listen address when Listener is nil (e.g. ":7171").
 	Addr string
-	// BatchSize is the number of runs per assignment message (default 32).
-	// Workers are topped back up to a full batch as results stream in.
+	// BatchSize bounds the runs a worker holds at once (default 32). A
+	// worker is topped back up to a full batch once its outstanding runs
+	// fall to half of it, so one assignment carries about BatchSize/2 runs
+	// instead of one per result.
 	BatchSize int
 	// LeaseTTL bounds worker silence: a worker that misses heartbeats for
 	// this long is declared dead and its runs re-dispatch (default 10s).
@@ -45,7 +47,7 @@ type Engine struct {
 	// and no live worker — covering both "no worker ever joined" and
 	// "every worker died and none returned" (default 60s).
 	WorkerWait time.Duration
-	// IOTimeout bounds each message send and each idle connection read
+	// IOTimeout bounds each connection write and each idle connection read
 	// (default 2×LeaseTTL + 2s; heartbeats keep healthy connections warm).
 	IOTimeout time.Duration
 	// Epoch is this coordinator incarnation's fenced journal epoch
@@ -215,18 +217,18 @@ type coordinator struct {
 	span     *telemetry.Span
 	ctx      context.Context
 
-	mu        sync.Mutex
-	runs      []cheetah.Run
-	index     map[string]int
-	pending   []int
-	results   []savanna.RunResult
-	terminal  []bool
-	attempts  []int
-	spans     []*telemetry.Span
+	mu       sync.Mutex
+	runs     []cheetah.Run
+	index    map[string]int
+	pending  []int
+	results  []savanna.RunResult
+	terminal []bool
+	attempts []int
+	spans    []*telemetry.Span
 	// usage accumulates each run's reported resource cost across dispatches:
 	// CPU seconds sum over attempts (a retried run's first attempt still
 	// burned its cycles), peak RSS takes the max.
-	usage []savanna.ResourceUsage
+	usage     []savanna.ResourceUsage
 	workers   map[string]*wstate
 	died      map[string]bool
 	remaining int
@@ -342,19 +344,21 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 
 	// Drain: tell every worker the campaign is over, stop accepting, and
 	// give handlers a moment to observe the clean close before forcing it.
+	// Each conn's writer delivers the drain after everything queued before
+	// it — the last results' acks included.
 	co.mu.Lock()
 	co.draining = true
 	conns := make([]*conn, 0, len(co.workers))
 	for _, w := range co.workers {
 		conns = append(conns, w.c)
-		go w.c.send(OpDrain, w.name, w.lease.ID, nil)
+		w.c.send(OpDrain, w.name, w.lease.ID, nil)
 	}
 	co.mu.Unlock()
 	ln.Close()
 	<-acceptDone
 	waitTimeout(&co.wg, 2*time.Second)
 	for _, c := range conns {
-		c.close()
+		c.abort()
 	}
 	co.wg.Wait()
 
@@ -457,6 +461,9 @@ func (co *coordinator) handleConn(nc net.Conn) {
 	co.mu.Lock()
 	if co.draining {
 		co.mu.Unlock()
+		// A worker admitted too late hears "campaign over", not EOF; the
+		// writer flushes the drain before closing.
+		c.send(OpDrain, m.Worker, 0, nil)
 		c.close()
 		return
 	}
@@ -486,13 +493,10 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		grant.Component = e.Memo.ComponentDigest
 		grant.Inputs = e.Memo.InputDigests
 	}
-	co.mu.Unlock()
-
-	if err := c.send(OpLeaseGrant, name, lease.ID, grant); err != nil {
-		co.workerDead(name, "lease grant failed: "+err.Error())
-		return
-	}
-	co.mu.Lock()
+	// Queued under co.mu, the grant precedes every assign and drain this
+	// worker can be sent. Sends only fail on a closed conn, and a write
+	// failure surfaces in the read loop below.
+	c.send(OpLeaseGrant, name, lease.ID, grant)
 	co.assignAllLocked()
 	co.mu.Unlock()
 
@@ -518,12 +522,6 @@ func (co *coordinator) handleConn(nc net.Conn) {
 				return
 			}
 			co.handleResult(w, out)
-			// Ack every result — duplicates and runs this (possibly resumed)
-			// incarnation no longer tracks included — AFTER it is folded
-			// into the journal, so the worker's spool entry only clears
-			// once the outcome is durable coordinator-side. Fire-and-forget:
-			// a lost ack just means one redundant replay later.
-			go c.send(OpResultAck, name, m.Lease, ResultAck{RunID: out.RunID})
 		case OpHeartbeat:
 			hb, err := decodeBody[Heartbeat](m)
 			if err != nil {
@@ -554,7 +552,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 				// Echo the send stamp so the worker can measure the round
 				// trip; a failed ack needs no handling — the read loop
 				// notices a dead connection on its own.
-				go c.send(OpHeartbeatAck, name, m.Lease, HeartbeatAck{EchoUnixNano: hb.SentUnixNano})
+				c.send(OpHeartbeatAck, name, m.Lease, HeartbeatAck{EchoUnixNano: hb.SentUnixNano})
 			}
 		case OpTelemetry:
 			b, err := decodeBody[TelemetryBatch](m)
@@ -647,7 +645,7 @@ func (co *coordinator) workerDead(name, reason string) {
 	co.assignAllLocked()
 	co.checkDoneLocked()
 	co.mu.Unlock()
-	w.c.close()
+	w.c.abort() // the reaper calls this: never wait on a stalled peer
 }
 
 // spanID returns the run's live span id (0 when none).
@@ -675,14 +673,23 @@ func (co *coordinator) assignAllLocked() {
 	}
 }
 
-// assignLocked tops the worker up to a full batch from the pending queue,
-// or triggers a steal when the queue is dry and the worker is idle.
+// assignLocked tops the worker up to a full batch from the pending queue
+// once its outstanding runs have fallen to half a batch, or triggers a
+// steal when the queue is dry and the worker is idle. Refilling at half a
+// batch rather than after every result sends one assignment per ~half
+// batch of results, while the worker's remaining half keeps it busy until
+// the refill lands. A worker whose slots alone hold half a batch or more
+// would idle slots while it waited, so it is topped up as soon as its
+// outstanding runs no longer exceed its slots.
 func (co *coordinator) assignLocked(w *wstate) {
 	e := co.e
 	if w.dead || co.draining {
 		return
 	}
 	if _, aborted := co.rc.Aborted(); aborted {
+		return
+	}
+	if len(w.outstanding) > max(w.slots, e.batchSize()/2) {
 		return
 	}
 	want := e.batchSize() - len(w.outstanding)
@@ -720,11 +727,9 @@ func (co *coordinator) assignLocked(w *wstate) {
 		want--
 	}
 	if len(batch) > 0 {
-		go func(c *conn, name string, lease int64, a Assignment) {
-			if err := c.send(OpAssign, name, lease, a); err != nil {
-				co.workerDead(name, "assign failed: "+err.Error())
-			}
-		}(w.c, w.name, w.lease.ID, Assignment{Runs: batch, Trace: tracectx})
+		// A failed write closes the conn; the read loop then reports the
+		// worker dead and its outstanding runs, these included, requeue.
+		w.c.send(OpAssign, w.name, w.lease.ID, Assignment{Runs: batch, Trace: tracectx})
 		return
 	}
 	if len(w.outstanding) == 0 {
@@ -772,11 +777,7 @@ func (co *coordinator) stealForLocked(idle *wstate) {
 	co.e.Events.Append(eventlog.Info, eventlog.WorkSteal, "", co.span.ID(),
 		telemetry.String("from", victim.name), telemetry.String("to", idle.name),
 		telemetry.Int("n", n))
-	go func(c *conn, name string, lease int64, n int) {
-		if err := c.send(OpSteal, name, lease, Steal{N: n}); err != nil {
-			co.workerDead(name, "steal failed: "+err.Error())
-		}
-	}(victim.c, victim.name, victim.lease.ID, n)
+	victim.c.send(OpSteal, victim.name, victim.lease.ID, Steal{N: n})
 }
 
 // handleStolen requeues the runs a victim relinquished and feeds the
@@ -810,11 +811,19 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 	co.checkDoneLocked()
 }
 
-// handleResult folds one worker outcome into the campaign.
+// handleResult folds one worker outcome into the campaign and acks it.
 func (co *coordinator) handleResult(w *wstate, out Outcome) {
 	e := co.e
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	// Ack every result — duplicates and runs this (possibly resumed)
+	// incarnation no longer tracks included — AFTER it is folded into the
+	// journal, so the worker's spool entry only clears once the outcome is
+	// durable coordinator-side. Deferred after the unlock, the ack is queued
+	// while co.mu is still held: ahead of the drain this outcome may
+	// trigger, so a drained worker has seen every ack. A lost ack just means
+	// one redundant replay later.
+	defer w.c.send(OpResultAck, w.name, w.lease.ID, ResultAck{RunID: out.RunID})
 	i, ok := co.index[out.RunID]
 	if !ok {
 		return

@@ -232,9 +232,12 @@ func decodeBody[T any](m msg) (T, error) {
 	return v, nil
 }
 
-// conn wraps one protocol connection: an FBS encoder/decoder pair over TCP
-// with a send mutex (heartbeats and results interleave from different
-// goroutines) and per-message I/O deadlines.
+// conn wraps one protocol connection: an FBS decoder for the read side,
+// and one writer goroutine that owns the write side. send only encodes the
+// frame into an ordered outbound buffer; the writer swaps the buffer out and
+// makes one Write for everything queued. Frames therefore reach the wire in
+// the order they were sent — from any number of goroutines — and a burst of
+// sends costs one syscall.
 type conn struct {
 	c   net.Conn
 	dec *stream.Decoder
@@ -245,23 +248,50 @@ type conn struct {
 	// them.
 	epoch atomic.Int64
 
-	mu  sync.Mutex
-	enc *stream.Encoder
-	// timeout bounds each send and each idle read; zero disables deadlines.
+	// timeout bounds each write and each idle read; zero disables deadlines.
 	timeout time.Duration
-	seq     int64
+
+	mu   sync.Mutex
+	wake *sync.Cond // signals the writer: frames queued, or the conn is closing
+	enc  *stream.Encoder
+	// out holds the encoded frames not yet handed to the writer, in send
+	// order; spare is the buffer the writer returns after each Write, so
+	// the two alternate without reallocating.
+	out   outbox
+	spare []byte
+	seq   int64
+	// err is sticky: the first write error, or net.ErrClosed once close
+	// was called. Every later send returns it.
+	err error
+	// done closes when the writer has exited and closed the connection.
+	done chan struct{}
+}
+
+// outbox is the encoder's sink: frames accumulate in b until the writer
+// takes them.
+type outbox struct{ b []byte }
+
+func (o *outbox) Write(p []byte) (int, error) {
+	o.b = append(o.b, p...)
+	return len(p), nil
 }
 
 func newConn(c net.Conn, timeout time.Duration) (*conn, error) {
-	enc, err := stream.NewEncoder(c, msgSchema)
+	cn := &conn{c: c, dec: stream.NewDecoder(c), timeout: timeout, done: make(chan struct{})}
+	enc, err := stream.NewEncoder(&cn.out, msgSchema)
 	if err != nil {
 		return nil, err
 	}
-	return &conn{c: c, enc: enc, dec: stream.NewDecoder(c), timeout: timeout}, nil
+	cn.enc = enc
+	cn.wake = sync.NewCond(&cn.mu)
+	go cn.writeLoop()
+	return cn, nil
 }
 
-// send encodes one message. body is JSON-marshalled; nil sends an empty
-// body.
+// send queues one message for the writer. body is JSON-marshalled; nil
+// sends an empty body. A nil return means the frame is queued, not that it
+// was written: a write failure closes the connection, so the peer's read
+// loop — and this end's — reports it, and every later send returns it.
 func (c *conn) send(op, worker string, lease int64, body any) error {
 	var payload []byte
 	if body != nil {
@@ -277,14 +307,51 @@ func (c *conn) send(op, worker string, lease int64, body any) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.timeout > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(c.timeout))
+	if c.err != nil {
+		return c.err
 	}
 	c.seq++
 	if err := c.enc.Encode(stream.Item{Seq: c.seq, Time: time.Now(), Payload: rec}); err != nil {
 		return err
 	}
-	return c.enc.Flush()
+	if err := c.enc.Flush(); err != nil {
+		return err
+	}
+	c.wake.Signal()
+	return nil
+}
+
+// writeLoop is the conn's one writer. It runs until close was called and
+// the queue is flushed, or a write fails; either way it closes the
+// connection on exit, which ends both read loops.
+func (c *conn) writeLoop() {
+	defer close(c.done)
+	c.mu.Lock()
+	for {
+		for len(c.out.b) == 0 && c.err == nil {
+			c.wake.Wait()
+		}
+		if len(c.out.b) == 0 {
+			break // closed with nothing left to flush
+		}
+		buf := c.out.b
+		c.out.b = c.spare
+		c.mu.Unlock()
+		if c.timeout > 0 {
+			c.c.SetWriteDeadline(time.Now().Add(c.timeout))
+		}
+		_, err := c.c.Write(buf)
+		c.mu.Lock()
+		c.spare = buf[:0]
+		if err != nil {
+			if c.err == nil {
+				c.err = err
+			}
+			break
+		}
+	}
+	c.mu.Unlock()
+	c.c.Close()
 }
 
 // recv decodes the next message, waiting at most maxIdle (0 = the conn's
@@ -315,4 +382,30 @@ func (c *conn) recv(maxIdle time.Duration) (msg, error) {
 	}, nil
 }
 
-func (c *conn) close() error { return c.c.Close() }
+// close ends the conn gracefully: later sends fail, the writer flushes
+// whatever is already queued and closes the connection, and close returns
+// once it has. The writer's per-Write deadline bounds the wait on a peer
+// that stopped reading. Closing twice is harmless.
+func (c *conn) close() {
+	c.stop()
+	<-c.done
+}
+
+// abort ends the conn at once: later sends fail and queued frames are
+// dropped. It never waits on the peer, so paths that must not stall — the
+// lease reaper, a forced shutdown, a cancelled context — use it instead of
+// close.
+func (c *conn) abort() {
+	c.stop()
+	c.c.Close()
+}
+
+// stop makes every later send fail and wakes the writer to finish.
+func (c *conn) stop() {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = net.ErrClosed
+	}
+	c.wake.Signal()
+	c.mu.Unlock()
+}

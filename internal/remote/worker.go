@@ -39,7 +39,7 @@ type Worker struct {
 	Slots int
 	// Heartbeat overrides the renewal period (default: lease TTL / 3).
 	Heartbeat time.Duration
-	// IOTimeout bounds each message send (default 10s).
+	// IOTimeout bounds each connection write (default 10s).
 	IOTimeout time.Duration
 	// Cache, when set, gives the worker a memo recipe seeded from the lease
 	// grant: cache hits skip execution, and successful runs push their
@@ -360,7 +360,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	go func() {
 		select {
 		case <-runCtx.Done():
-			c.close()
+			c.abort()
 			s.wake()
 		case <-hbStop:
 		}
@@ -379,11 +379,13 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err == nil {
 		// Clean drain: journal the departure, close out the session span so
 		// it ships too, and flush the telemetry backlog while the connection
-		// is still up — cancel() below also closes it.
+		// is still up. close waits for the writer to put it on the wire;
+		// cancel() would abort the connection and drop it.
 		w.Events.Append(eventlog.Info, eventlog.WorkerLeave, grant.Campaign, span.ID(),
 			telemetry.String("worker", name))
 		span.End()
 		s.flush(lease, true)
+		c.close()
 		cancel() // campaign over: stop in-flight work
 	}
 	// A broken connection deliberately does NOT cancel in-flight runs: the
@@ -516,10 +518,11 @@ func (s *wsession) relinquish(n int, lease int64) {
 	s.c.send(OpStolen, s.name, lease, Stolen{RunIDs: ids})
 }
 
-// heartbeatLoop renews the lease until the session ends; a failed send
-// means the coordinator is unreachable, so it closes the connection — the
-// read loop notices and winds the session down *without* cancelling
-// in-flight runs, which finish into the spool for replay.
+// heartbeatLoop renews the lease until the session ends. A failed send
+// means the conn is already closed — a write to an unreachable coordinator
+// failed, or the session ended — and the read loop winds the session down
+// *without* cancelling in-flight runs, which finish into the spool for
+// replay.
 func (s *wsession) heartbeatLoop(period time.Duration, lease int64, stop <-chan struct{}) {
 	t := time.NewTicker(period)
 	defer t.Stop()
@@ -533,8 +536,7 @@ func (s *wsession) heartbeatLoop(period time.Duration, lease int64, stop <-chan 
 		hb := Heartbeat{Queued: len(s.queue), InFlight: s.inFlight,
 			SentUnixNano: time.Now().UnixNano(), RTTNanos: s.lastRTT.Load()}
 		s.mu.Unlock()
-		if err := s.c.send(OpHeartbeat, s.name, lease, hb); err != nil {
-			s.c.close()
+		if s.c.send(OpHeartbeat, s.name, lease, hb) != nil {
 			return
 		}
 		// Telemetry flushes ride the heartbeat cadence: one bounded batch
