@@ -7,7 +7,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fairflow/internal/cas"
@@ -58,11 +57,10 @@ type Engine struct {
 	// shared journal.
 	Epoch int64
 
-	// Prov, CampaignDir, Retries, Resilience, Memo, Tracer, Metrics and
-	// Events carry the LocalEngine contract unchanged; see savanna.LocalEngine.
+	// Prov, CampaignDir, Resilience, Memo, Tracer, Metrics and Events carry
+	// the LocalEngine contract unchanged; see savanna.LocalEngine.
 	Prov        *provenance.Store
 	CampaignDir string
-	Retries     int
 	Resilience  *resilience.Config
 	// Memo short-circuits runs already satisfied by the action cache before
 	// they are ever dispatched; its ComponentDigest and InputDigests are
@@ -75,28 +73,21 @@ type Engine struct {
 
 	attempt int64 // provenance record numbering
 
-	telOnce      sync.Once
-	mDispatched  *telemetry.Counter
-	mCompleted   *telemetry.Counter
-	mCached      *telemetry.Counter
-	mFailed      *telemetry.Counter
-	mLost        *telemetry.Counter
-	mDuplicates  *telemetry.Counter
-	mRetries     *telemetry.Counter
-	mQuarantined *telemetry.Counter
-	mLeases      *telemetry.Counter
-	mHeartbeats  *telemetry.Counter
-	mSteals      *telemetry.Counter
-	mStolenRuns  *telemetry.Counter
-	mDeadTotal   *telemetry.Counter
-	mStaleEpoch  *telemetry.Counter
-	mTakeovers   *telemetry.Counter
-	gEpoch       *telemetry.Gauge
-	gLive        *telemetry.Gauge
-	gDead        *telemetry.Gauge
-	hRunSecs     *telemetry.Histogram
-	hCPUSecs     *telemetry.Histogram
-	hMaxRSS      *telemetry.Histogram
+	telOnce     sync.Once
+	ledgerM     savanna.LedgerMetrics
+	mDispatched *telemetry.Counter
+	mLost       *telemetry.Counter
+	mDuplicates *telemetry.Counter
+	mLeases     *telemetry.Counter
+	mHeartbeats *telemetry.Counter
+	mSteals     *telemetry.Counter
+	mStolenRuns *telemetry.Counter
+	mDeadTotal  *telemetry.Counter
+	mStaleEpoch *telemetry.Counter
+	mTakeovers  *telemetry.Counter
+	gEpoch      *telemetry.Gauge
+	gLive       *telemetry.Gauge
+	gDead       *telemetry.Gauge
 
 	// Fleet-telemetry instruments: heartbeat round trips (the skew
 	// estimator's input), merged telemetry batches and spans, and telemetry
@@ -110,14 +101,19 @@ type Engine struct {
 
 func (e *Engine) telemetryInit() {
 	e.telOnce.Do(func() {
+		e.ledgerM = savanna.LedgerMetrics{
+			Succeeded:   e.Metrics.Counter("remote.runs_completed_total"),
+			Cached:      e.Metrics.Counter("remote.runs_cached_total"),
+			Failed:      e.Metrics.Counter("remote.runs_failed_total"),
+			Retries:     e.Metrics.Counter("remote.retries_total"),
+			Quarantined: e.Metrics.Counter("remote.quarantined_total"),
+			RunSeconds:  e.Metrics.Histogram("remote.run_seconds", nil),
+			CPUSeconds:  e.Metrics.Histogram("remote.run_cpu_seconds", nil),
+			MaxRSS:      e.Metrics.Histogram("remote.run_max_rss_bytes", savanna.RSSBuckets),
+		}
 		e.mDispatched = e.Metrics.Counter("remote.runs_dispatched_total")
-		e.mCompleted = e.Metrics.Counter("remote.runs_completed_total")
-		e.mCached = e.Metrics.Counter("remote.runs_cached_total")
-		e.mFailed = e.Metrics.Counter("remote.runs_failed_total")
 		e.mLost = e.Metrics.Counter("remote.runs_lost_total")
 		e.mDuplicates = e.Metrics.Counter("remote.runs_duplicate_total")
-		e.mRetries = e.Metrics.Counter("remote.retries_total")
-		e.mQuarantined = e.Metrics.Counter("remote.quarantined_total")
 		e.mLeases = e.Metrics.Counter("remote.leases_granted_total")
 		e.mHeartbeats = e.Metrics.Counter("remote.heartbeats_total")
 		e.mSteals = e.Metrics.Counter("remote.steals_total")
@@ -128,9 +124,6 @@ func (e *Engine) telemetryInit() {
 		e.gEpoch = e.Metrics.Gauge("remote.coordinator_epoch")
 		e.gLive = e.Metrics.Gauge("remote.workers_live")
 		e.gDead = e.Metrics.Gauge("remote.workers_dead")
-		e.hRunSecs = e.Metrics.Histogram("remote.run_seconds", nil)
-		e.hCPUSecs = e.Metrics.Histogram("remote.run_cpu_seconds", nil)
-		e.hMaxRSS = e.Metrics.Histogram("remote.run_max_rss_bytes", savanna.RSSBuckets)
 		e.hHeartbeatRTT = e.Metrics.Histogram("remote.heartbeat_rtt_seconds", nil)
 		e.mTelemetryBatches = e.Metrics.Counter("remote.telemetry_batches_total")
 		e.mWorkerSpans = e.Metrics.Counter("remote.telemetry_spans_total")
@@ -174,15 +167,6 @@ func (e *Engine) ioTimeout() time.Duration {
 	return 2*e.leaseTTL() + 2*time.Second
 }
 
-func (e *Engine) controller() *resilience.Controller {
-	if e.Resilience != nil {
-		return resilience.NewController(*e.Resilience)
-	}
-	return resilience.NewController(resilience.Config{
-		Retry: resilience.RetryPolicy{MaxAttempts: e.Retries + 1},
-	})
-}
-
 // RunAll executes the runs across whatever workers join, returning results
 // in input order (the Savanna engine contract).
 func (e *Engine) RunAll(campaign string, runs []cheetah.Run) ([]savanna.RunResult, error) {
@@ -210,12 +194,11 @@ type wstate struct {
 
 // coordinator is one campaign's live dispatch state.
 type coordinator struct {
-	e        *Engine
-	rc       *resilience.Controller
-	leases   *resilience.LeaseTable
-	campaign string
-	span     *telemetry.Span
-	ctx      context.Context
+	e      *Engine
+	led    *savanna.Ledger
+	leases *resilience.LeaseTable
+	span   *telemetry.Span // the campaign span
+	ctx    context.Context
 
 	mu       sync.Mutex
 	runs     []cheetah.Run
@@ -250,7 +233,11 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 		return nil, resilience.CompletenessReport{}, err
 	}
 	e.telemetryInit()
-	rc := e.controller()
+	led := &savanna.Ledger{
+		Campaign: campaign, RC: savanna.NewController(e.Resilience),
+		Prov: e.Prov, Memo: e.Memo, Seq: &e.attempt, Dir: e.CampaignDir,
+		Events: e.Events, Metrics: e.ledgerM,
+	}
 
 	ln := e.Listener
 	if ln == nil {
@@ -263,16 +250,14 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	defer ln.Close()
 
 	e.gEpoch.Set(float64(e.Epoch))
-	ctx, span := e.Tracer.Start(ctx, "remote.campaign",
-		telemetry.String("campaign", campaign),
-		telemetry.String("discipline", "distributed"),
-		telemetry.Int("runs", len(runs)))
-	e.Events.Append(eventlog.Info, eventlog.CampaignStart, campaign, span.ID(),
+	ctx, span := led.Open(ctx, e.Tracer, "remote.campaign",
+		[]telemetry.Attr{telemetry.String("campaign", campaign),
+			telemetry.String("discipline", "distributed"), telemetry.Int("runs", len(runs))},
 		telemetry.String("campaign", campaign), telemetry.Int("runs", len(runs)))
 
 	co := &coordinator{
-		e: e, rc: rc, campaign: campaign, span: span, ctx: ctx,
-		leases:   resilience.NewLeaseTable(e.leaseTTL(), rc.Journal(), nil),
+		e: e, led: led, span: span, ctx: ctx,
+		leases:   resilience.NewLeaseTable(e.leaseTTL(), led.RC.Journal(), nil),
 		runs:     runs,
 		index:    make(map[string]int, len(runs)),
 		results:  make([]savanna.RunResult, len(runs)),
@@ -293,14 +278,10 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	// the wire — the action cache is the cross-machine dedup line.
 	co.mu.Lock()
 	for i := range runs {
-		if co.remaining == 0 {
-			break
-		}
-		if e.Memo != nil && e.Memo.Validate() == nil {
-			if res, ok := e.Memo.Lookup(runs[i]); ok {
-				co.finishCachedLocked(i, "", res, 0)
-				continue
-			}
+		if res, ok := e.Memo.Lookup(runs[i]); ok {
+			led.Cached(co.entryLocked(i, ""), res)
+			co.settleLocked(i, savanna.RunResult{Run: runs[i], Status: provenance.StatusSucceeded, Cached: true})
+			continue
 		}
 		co.pending = append(co.pending, i)
 	}
@@ -362,7 +343,7 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	}
 	co.wg.Wait()
 
-	report := co.finish()
+	report := led.Close(len(runs), campaign, nil, telemetry.String("campaign", campaign))
 	return co.results, report, nil
 }
 
@@ -374,22 +355,6 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) {
 	case <-ch:
 	case <-time.After(d):
 	}
-}
-
-// finish closes out the campaign span, events and report.
-func (co *coordinator) finish() resilience.CompletenessReport {
-	e := co.e
-	if reason, aborted := co.rc.Aborted(); aborted {
-		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, co.span.ID(),
-			telemetry.String("campaign", co.campaign))
-	}
-	co.span.End()
-	e.Events.Append(eventlog.Info, eventlog.CampaignDone, co.campaign, co.span.ID(),
-		telemetry.String("campaign", co.campaign))
-	if e.Resilience != nil {
-		e.Resilience.Journal.Sync()
-	}
-	return co.rc.Report(len(co.runs))
 }
 
 // reapLoop expires silent leases: every quarter-TTL it reclaims leases
@@ -424,7 +389,7 @@ func (co *coordinator) reapLoop(stop <-chan struct{}) {
 // cancelCampaign aborts: every non-terminal run journals skipped and the
 // campaign unblocks. Workers are drained by the main loop.
 func (co *coordinator) cancelCampaign(reason string) {
-	co.rc.Abort(reason)
+	co.led.Abort(reason)
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	for i := range co.runs {
@@ -488,7 +453,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 	e.mLeases.Inc()
 	e.Events.Append(eventlog.Info, eventlog.WorkerJoin, name, co.span.ID(),
 		telemetry.String("worker", name), telemetry.Int("slots", hello.Slots))
-	grant := LeaseGrant{Campaign: co.campaign, TTLMillis: co.e.leaseTTL().Milliseconds(), Epoch: e.Epoch}
+	grant := LeaseGrant{Campaign: co.led.Campaign, TTLMillis: co.e.leaseTTL().Milliseconds(), Epoch: e.Epoch}
 	if e.Memo != nil {
 		grant.Component = e.Memo.ComponentDigest
 		grant.Inputs = e.Memo.InputDigests
@@ -624,13 +589,13 @@ func (co *coordinator) workerDead(name, reason string) {
 	sort.Strings(lost)
 	e.Events.Append(eventlog.Warn, eventlog.WorkerDead, reason, co.span.ID(),
 		telemetry.String("worker", name), telemetry.Int("outstanding", len(lost)))
-	_, aborted := co.rc.Aborted()
+	_, aborted := co.led.RC.Aborted()
 	for _, id := range lost {
 		i := co.index[id]
 		if co.terminal[i] {
 			continue
 		}
-		co.rc.JournalAttemptWorker(id, savanna.PointKey(co.runs[i]), co.attempts[i],
+		co.led.RC.JournalAttemptWorker(id, savanna.PointKey(co.runs[i]), co.attempts[i],
 			resilience.AttemptLost, name, "", errors.New(reason))
 		e.mLost.Inc()
 		e.Events.Append(eventlog.Warn, eventlog.RunLost, reason, co.spanID(i),
@@ -686,7 +651,7 @@ func (co *coordinator) assignLocked(w *wstate) {
 	if w.dead || co.draining {
 		return
 	}
-	if _, aborted := co.rc.Aborted(); aborted {
+	if _, aborted := co.led.RC.Aborted(); aborted {
 		return
 	}
 	if len(w.outstanding) > max(w.slots, e.batchSize()/2) {
@@ -704,22 +669,23 @@ func (co *coordinator) assignLocked(w *wstate) {
 		run := co.runs[i]
 		// Quarantine gate at dispatch: a side-lined sweep point fails here,
 		// never crossing the wire.
-		if q := co.rc.Quarantine(); !q.Allow(savanna.PointKey(run)) {
-			co.quarantineLocked(i, w.name, 0, nil)
+		if !co.led.RC.Quarantine().Allow(savanna.PointKey(run)) {
+			msg := co.led.Quarantined(co.entryLocked(i, w.name), "", nil)
+			co.settleLocked(i, savanna.RunResult{Run: run, Status: provenance.StatusFailed, Err: msg,
+				Attempts: co.attempts[i], Quarantined: true})
 			continue
 		}
 		batch = append(batch, run)
 		w.outstanding[run.ID] = true
-		co.attemptStartSpanLocked(i)
 		// The dispatch span's wire identity rides along so the worker's run
 		// span parents under it — one trace across the fleet.
-		if tc := co.spans[i].Context(); tc.Valid() {
+		if tc := co.runSpanLocked(i).Context(); tc.Valid() {
 			if tracectx == nil {
 				tracectx = map[string]string{}
 			}
 			tracectx[run.ID] = tc.String()
 		}
-		co.rc.JournalAttemptWorker(run.ID, savanna.PointKey(run), co.attempts[i],
+		co.led.RC.JournalAttemptWorker(run.ID, savanna.PointKey(run), co.attempts[i],
 			resilience.AttemptDispatched, w.name, "", nil)
 		e.mDispatched.Inc()
 		e.Events.Append(eventlog.Info, eventlog.RunDispatched, "", co.spanID(i),
@@ -737,13 +703,13 @@ func (co *coordinator) assignLocked(w *wstate) {
 	}
 }
 
-// attemptStartSpanLocked opens the run's span on first dispatch.
-func (co *coordinator) attemptStartSpanLocked(i int) {
+// runSpanLocked returns the run's span, opening it on first use.
+func (co *coordinator) runSpanLocked(i int) *telemetry.Span {
 	if co.spans[i] == nil {
-		_, span := co.e.Tracer.Start(co.ctx, "remote.run",
+		_, co.spans[i] = co.e.Tracer.Start(co.ctx, "remote.run",
 			telemetry.String("run", co.runs[i].ID))
-		co.spans[i] = span
 	}
+	return co.spans[i]
 }
 
 // stealForLocked rebalances: ask the most-loaded worker to give back half
@@ -786,7 +752,7 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	w.stealPending = false
-	_, aborted := co.rc.Aborted()
+	_, aborted := co.led.RC.Aborted()
 	for _, id := range st.RunIDs {
 		i, ok := co.index[id]
 		if !ok || co.terminal[i] || !w.outstanding[id] {
@@ -798,7 +764,7 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 		// the victim" — owed either way, but the journal would blame a
 		// worker that no longer holds it. The stolen record keeps the
 		// ledger's worker attribution truthful across a handover.
-		co.rc.JournalAttemptWorker(id, savanna.PointKey(co.runs[i]), co.attempts[i],
+		co.led.RC.JournalAttemptWorker(id, savanna.PointKey(co.runs[i]), co.attempts[i],
 			resilience.AttemptStolen, w.name, "", nil)
 		co.e.mStolenRuns.Inc()
 		if aborted {
@@ -813,7 +779,6 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 
 // handleResult folds one worker outcome into the campaign and acks it.
 func (co *coordinator) handleResult(w *wstate, out Outcome) {
-	e := co.e
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	// Ack every result — duplicates and runs this (possibly resumed)
@@ -829,17 +794,25 @@ func (co *coordinator) handleResult(w *wstate, out Outcome) {
 		return
 	}
 	delete(w.outstanding, out.RunID)
+	defer co.assignAllLocked()
 	if co.terminal[i] {
 		// A re-dispatched run completed twice (lease expired under a slow
 		// but living worker, or a steal raced a start). First terminal
 		// outcome won; this one is accounting noise, never a double count.
-		e.mDuplicates.Inc()
-		co.assignAllLocked()
+		co.e.mDuplicates.Inc()
 		return
 	}
 	run := co.runs[i]
-	point := savanna.PointKey(run)
-	co.usage[i].Accumulate(outcomeUsage(out))
+	co.usage[i].Accumulate(savanna.ResourceUsage{
+		CPUUserSeconds:   out.CPUUserSeconds,
+		CPUSystemSeconds: out.CPUSystemSeconds,
+		MaxRSSBytes:      out.MaxRSSBytes,
+	})
+	if !out.OK || !out.Cached {
+		co.attempts[i]++ // a cache hit consumes no attempt
+	}
+	en := co.entryLocked(i, w.name)
+	en.Seconds = out.Seconds
 	if out.OK {
 		var res cas.ActionResult
 		if len(out.Outputs) > 0 {
@@ -849,167 +822,72 @@ func (co *coordinator) handleResult(w *wstate, out Outcome) {
 			}
 		}
 		if out.Cached {
-			co.finishCachedLocked(i, w.name, res, out.Seconds)
+			co.led.Cached(en, res)
 		} else {
-			co.attempts[i]++
-			co.rc.JournalAttemptWorker(run.ID, point, co.attempts[i],
-				resilience.AttemptSuccess, w.name, "", nil)
-			co.rc.Quarantine().NoteSuccess(point)
-			co.setStatus(run, cheetah.RunSucceeded)
-			usage := co.usage[i]
-			e.appendProvenance(co.campaign, run, provenance.StatusSucceeded,
-				time.Duration(out.Seconds*float64(time.Second)), res, false, usage)
-			co.results[i] = savanna.RunResult{
-				Run: run, Status: provenance.StatusSucceeded,
-				Seconds: out.Seconds, Attempts: co.attempts[i],
-			}
-			co.terminal[i] = true
-			co.remaining--
-			if co.rc.NoteOutcome(resilience.OutcomeSucceeded) {
-				co.noteAbortLocked()
-			}
-			e.mCompleted.Inc()
-			e.hRunSecs.Observe(out.Seconds)
-			co.noteResourcesLocked(i, run.ID, w.name, usage)
-			co.endSpanLocked(i, "succeeded", false)
-			e.Events.Append(eventlog.Info, eventlog.RunSucceeded, "", co.spanID(i),
-				telemetry.String("run", run.ID), telemetry.String("worker", w.name))
+			co.led.Succeeded(en, res)
 		}
-		co.checkDoneLocked()
-		co.assignAllLocked()
+		co.settleLocked(i, savanna.RunResult{Run: run, Status: provenance.StatusSucceeded,
+			Seconds: out.Seconds, Cached: out.Cached, Attempts: co.attempts[i]})
 		return
 	}
 
 	// Failure path: classify, maybe quarantine, maybe retry.
-	co.attempts[i]++
 	class := resilience.Class(out.Class)
 	if class == "" {
 		class = resilience.ClassTransient
 	}
 	failErr := errors.New(out.Err)
-	co.rc.JournalAttemptWorker(run.ID, point, co.attempts[i],
-		resilience.AttemptFailure, w.name, class, failErr)
-	if co.rc.Quarantine().NoteFailure(point) {
-		co.quarantineLocked(i, w.name, co.attempts[i], failErr)
-		co.checkDoneLocked()
-		co.assignAllLocked()
+	if co.led.Failure(en, class, failErr) {
+		co.settleLocked(i, savanna.RunResult{Run: run, Status: provenance.StatusFailed, Err: out.Err,
+			Attempts: co.attempts[i], Quarantined: true})
 		return
 	}
-	_, aborted := co.rc.Aborted()
-	if class.Retryable() && co.attempts[i] < co.rc.Attempts() && !aborted {
-		co.rc.NoteRetry()
-		e.mRetries.Inc()
-		e.Events.Append(eventlog.Warn, eventlog.RunRetry, out.Err, co.spanID(i),
-			telemetry.String("run", run.ID), telemetry.Int("attempt", co.attempts[i]),
-			telemetry.String("class", string(class)))
+	if _, aborted := co.led.RC.Aborted(); class.Retryable() && co.attempts[i] < co.led.RC.Attempts() && !aborted {
 		// Requeue at the back: the rest of the sweep paces the retry, the
 		// distributed analogue of backoff (any worker may pick it up).
+		co.led.Retry(en, class, failErr, 0)
 		co.pending = append(co.pending, i)
-		co.assignAllLocked()
 		return
 	}
-	co.setStatus(run, cheetah.RunFailed)
-	usage := co.usage[i]
-	e.appendProvenance(co.campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, usage)
-	co.results[i] = savanna.RunResult{
-		Run: run, Status: provenance.StatusFailed, Err: out.Err,
-		Seconds: out.Seconds, Attempts: co.attempts[i],
-	}
-	co.terminal[i] = true
-	co.remaining--
-	if co.rc.NoteOutcome(resilience.OutcomeFailed) {
-		co.noteAbortLocked()
-	}
-	e.mFailed.Inc()
-	co.noteResourcesLocked(i, run.ID, w.name, usage)
-	co.endSpanLocked(i, "failed", false)
-	e.Events.Append(eventlog.Error, eventlog.RunFailed, out.Err, co.spanID(i),
-		telemetry.String("run", run.ID), telemetry.String("worker", w.name),
-		telemetry.Int("attempts", co.attempts[i]))
-	co.checkDoneLocked()
-	co.assignAllLocked()
+	co.led.Failed(en, failErr)
+	co.settleLocked(i, savanna.RunResult{Run: run, Status: provenance.StatusFailed, Err: out.Err,
+		Seconds: out.Seconds, Attempts: co.attempts[i]})
 }
 
-// finishCachedLocked closes out a memo-satisfied run (coordinator-side
-// short-circuit or a worker-side cache hit).
-func (co *coordinator) finishCachedLocked(i int, worker string, res cas.ActionResult, seconds float64) {
-	e := co.e
+// entryLocked describes run i for a ledger transition: its attempts so
+// far, worker, span and accumulated resource usage.
+func (co *coordinator) entryLocked(i int, worker string) savanna.Entry {
 	run := co.runs[i]
-	co.rc.JournalAttemptWorker(run.ID, savanna.PointKey(run), 0,
-		resilience.AttemptCached, worker, "", nil)
-	co.rc.NoteOutcome(resilience.OutcomeCached)
-	co.setStatus(run, cheetah.RunSucceeded)
-	e.appendProvenance(co.campaign, run, provenance.StatusSucceeded,
-		time.Duration(seconds*float64(time.Second)), res, true, savanna.ResourceUsage{})
-	co.results[i] = savanna.RunResult{
-		Run: run, Status: provenance.StatusSucceeded, Seconds: seconds, Cached: true,
-	}
-	co.terminal[i] = true
-	co.remaining--
-	e.mCached.Inc()
-	co.endSpanLocked(i, "succeeded", true)
-	attrs := []telemetry.Attr{telemetry.String("run", run.ID)}
-	if worker != "" {
-		attrs = append(attrs, telemetry.String("worker", worker))
-	}
-	e.Events.Append(eventlog.Info, eventlog.RunCached, "", co.spanID(i), attrs...)
-	co.checkDoneLocked()
+	return savanna.Entry{Run: run, Point: savanna.PointKey(run), Attempt: co.attempts[i],
+		Worker: worker, Span: co.runSpanLocked(i), Usage: co.usage[i]}
 }
 
-// quarantineLocked closes out a run whose sweep point is side-lined.
-func (co *coordinator) quarantineLocked(i int, worker string, attempts int, cause error) {
-	e := co.e
-	run := co.runs[i]
-	point := savanna.PointKey(run)
-	msg := "sweep point " + point + " quarantined"
-	if cause != nil {
-		msg = cause.Error()
-	}
-	co.rc.JournalAttemptWorker(run.ID, point, attempts,
-		resilience.AttemptQuarantined, worker, resilience.Classify(cause), cause)
-	co.setStatus(run, cheetah.RunFailed)
-	e.appendProvenance(co.campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, co.usage[i])
-	co.results[i] = savanna.RunResult{
-		Run: run, Status: provenance.StatusFailed, Err: msg,
-		Attempts: attempts, Quarantined: true,
-	}
+// settleLocked records run i's terminal result once the ledger has settled
+// it. An outcome that aborted the campaign stops dispatch: the pending runs
+// are skipped so the campaign winds down instead of grinding on.
+func (co *coordinator) settleLocked(i int, res savanna.RunResult) {
+	co.results[i] = res
 	co.terminal[i] = true
 	co.remaining--
-	if co.rc.NoteOutcome(resilience.OutcomeQuarantined) {
-		co.noteAbortLocked()
+	if _, aborted := co.led.RC.Aborted(); aborted {
+		for _, j := range co.pending {
+			if !co.terminal[j] {
+				co.skipLocked(j)
+			}
+		}
+		co.pending = nil
 	}
-	e.mQuarantined.Inc()
-	e.mFailed.Inc()
-	co.endSpanLocked(i, "failed", false)
-	e.Events.Append(eventlog.Error, eventlog.RunQuarantined, msg, co.spanID(i),
-		telemetry.String("run", run.ID), telemetry.String("point", point))
+	co.checkDoneLocked()
 }
 
 // skipLocked records a run the campaign never finished dispatching.
 func (co *coordinator) skipLocked(i int) {
 	run := co.runs[i]
-	co.rc.JournalAttempt(run.ID, savanna.PointKey(run), 0, resilience.AttemptSkipped, "", nil)
-	co.rc.NoteOutcome(resilience.OutcomeSkipped)
-	co.e.appendProvenance(co.campaign, run, provenance.StatusSkipped, 0, cas.ActionResult{}, false, savanna.ResourceUsage{})
+	co.led.Skipped(savanna.Entry{Run: run, Point: savanna.PointKey(run), Attempt: co.attempts[i],
+		Span: co.runSpanLocked(i)})
 	co.results[i] = savanna.RunResult{Run: run, Status: provenance.StatusSkipped}
 	co.terminal[i] = true
 	co.remaining--
-	co.endSpanLocked(i, "skipped", false)
-}
-
-// noteAbortLocked reacts to the stop condition tripping: pending runs are
-// skipped so the campaign winds down instead of grinding on.
-func (co *coordinator) noteAbortLocked() {
-	reason, _ := co.rc.Aborted()
-	co.e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, co.span.ID(),
-		telemetry.String("campaign", co.campaign))
-	for _, i := range co.pending {
-		if !co.terminal[i] {
-			co.skipLocked(i)
-		}
-	}
-	co.pending = nil
-	co.checkDoneLocked()
 }
 
 // checkDoneLocked unblocks RunCampaign once every run is terminal.
@@ -1017,83 +895,4 @@ func (co *coordinator) checkDoneLocked() {
 	if co.remaining == 0 {
 		co.doneOnce.Do(func() { close(co.doneCh) })
 	}
-}
-
-// endSpanLocked closes the run's span once.
-func (co *coordinator) endSpanLocked(i int, status string, cached bool) {
-	if co.spans[i] == nil {
-		co.attemptStartSpanLocked(i)
-	}
-	co.spans[i].End(telemetry.Bool("cached", cached), telemetry.String("status", status),
-		telemetry.Int("attempts", co.attempts[i]))
-}
-
-// outcomeUsage lifts a wire outcome's resource fields into the shared type.
-func outcomeUsage(out Outcome) savanna.ResourceUsage {
-	return savanna.ResourceUsage{
-		CPUUserSeconds:   out.CPUUserSeconds,
-		CPUSystemSeconds: out.CPUSystemSeconds,
-		MaxRSSBytes:      out.MaxRSSBytes,
-	}
-}
-
-// noteResourcesLocked surfaces a settling run's accumulated cost on the
-// coordinator side: dispatch-span annotations, the fleet cost histograms and
-// a run.resources event. Call before endSpanLocked.
-func (co *coordinator) noteResourcesLocked(i int, runID, worker string, usage savanna.ResourceUsage) {
-	if usage.Zero() {
-		return
-	}
-	if co.spans[i] == nil {
-		co.attemptStartSpanLocked(i)
-	}
-	co.spans[i].Annotate(telemetry.Float("cpu_s", usage.CPUSeconds()),
-		telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-	co.e.hCPUSecs.Observe(usage.CPUSeconds())
-	co.e.hMaxRSS.Observe(float64(usage.MaxRSSBytes))
-	co.e.Events.Append(eventlog.Info, eventlog.RunResources, "", co.spanID(i),
-		telemetry.String("run", runID), telemetry.String("worker", worker),
-		telemetry.Float("cpu_s", usage.CPUSeconds()),
-		telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-}
-
-// setStatus mirrors the run's terminal state into the campaign directory.
-func (co *coordinator) setStatus(run cheetah.Run, st cheetah.RunStatus) {
-	if co.e.CampaignDir != "" {
-		cheetah.SetRunStatus(co.e.CampaignDir, run.ID, st)
-	}
-}
-
-// appendProvenance mirrors savanna.LocalEngine's record shape so a remote
-// campaign's provenance is indistinguishable from a local one (same
-// component, same digest fields, same cached annotation).
-func (e *Engine) appendProvenance(campaign string, run cheetah.Run, status provenance.Status, elapsed time.Duration, res cas.ActionResult, cached bool, usage savanna.ResourceUsage) {
-	if e.Prov == nil {
-		return
-	}
-	end := time.Now()
-	rec := provenance.Record{
-		ID:         fmt.Sprintf("%s/%s#%d", campaign, run.ID, atomic.AddInt64(&e.attempt, 1)),
-		Component:  "savanna-run",
-		Start:      end.Add(-elapsed),
-		End:        end,
-		Status:     status,
-		CampaignID: campaign,
-		SweepPoint: run.Params,
-		Inputs:     e.Memo.ProvenanceInputs(),
-		Outputs:    savanna.ProvenanceOutputs(res),
-	}
-	if cached {
-		rec.Annotations = append(rec.Annotations, provenance.Annotation{
-			Key: "cached", Value: "true", Sensitivity: provenance.Public,
-		})
-	}
-	if !usage.Zero() {
-		rec.Resources = &provenance.Resources{
-			CPUUserSeconds:   usage.CPUUserSeconds,
-			CPUSystemSeconds: usage.CPUSystemSeconds,
-			MaxRSSBytes:      usage.MaxRSSBytes,
-		}
-	}
-	e.Prov.Append(rec)
 }

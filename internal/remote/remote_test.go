@@ -14,6 +14,7 @@ import (
 
 	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
+	"fairflow/internal/provenance"
 	"fairflow/internal/resilience"
 	"fairflow/internal/savanna"
 	"fairflow/internal/telemetry"
@@ -555,5 +556,97 @@ func TestRemoteEventsAndSpans(t *testing.T) {
 	}
 	if got := metrics.Gauge("remote.workers_live").Value(); got != 0 {
 		t.Fatalf("live gauge after drain = %v", got)
+	}
+}
+
+// TestTerminalRecordsCarryUsage pins that a remote run settled after at
+// least one attempt carries its elapsed time and the usage accumulated over
+// its attempts to the provenance record, the dispatch span, the cost
+// histograms and the run.resources event — whether it ends quarantined or
+// failed.
+func TestTerminalRecordsCarryUsage(t *testing.T) {
+	charge := savanna.ResourceUsage{CPUUserSeconds: 0.5, CPUSystemSeconds: 0.25, MaxRSSBytes: 8 << 20}
+	for _, tc := range []struct {
+		name     string
+		err      error
+		attempts int
+	}{
+		{"quarantined", resilience.MarkTransient(fmt.Errorf("flaky")), 2},
+		{"failed", resilience.MarkPermanent(fmt.Errorf("bad parameters")), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln := listen(t)
+			prov := provenance.NewStore()
+			tracer := telemetry.NewTracer()
+			reg := telemetry.NewRegistry()
+			events := eventlog.NewLog()
+			e := &Engine{Listener: ln, LeaseTTL: time.Second, Prov: prov,
+				Resilience: &resilience.Config{Retry: resilience.RetryPolicy{MaxAttempts: 5}, QuarantineAfter: 2},
+				Tracer:     tracer, Metrics: reg, Events: events}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			wait := startWorkers(t, ctx, ln.Addr().String(), 1, 1, func(string) savanna.Executor {
+				return execFn(func(ctx context.Context, run cheetah.Run) error {
+					savanna.ResourceSinkFrom(ctx).Accumulate(charge)
+					return tc.err
+				})
+			})
+			if _, _, err := e.RunCampaign(context.Background(), "usage", testRuns(1)); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			wait()
+			var want savanna.ResourceUsage
+			for i := 0; i < tc.attempts; i++ {
+				want.Accumulate(charge)
+			}
+			recs := prov.Select(provenance.Query{})
+			if len(recs) != 1 {
+				t.Fatalf("provenance records = %d, want 1", len(recs))
+			}
+			if rec := recs[0]; !rec.End.After(rec.Start) || rec.Resources == nil ||
+				rec.Resources.CPUUserSeconds != want.CPUUserSeconds || rec.Resources.MaxRSSBytes != want.MaxRSSBytes {
+				t.Errorf("provenance record %v..%v resources %+v, want time elapsed and %+v", rec.Start, rec.End, rec.Resources, want)
+			}
+			cpuAttr := strconv.FormatFloat(want.CPUSeconds(), 'g', -1, 64)
+			for _, s := range tracer.Snapshot() {
+				if s.Name == "remote.run" && s.Attr("cpu_s") != cpuAttr {
+					t.Errorf("remote.run span cpu_s = %q, want %s", s.Attr("cpu_s"), cpuAttr)
+				}
+			}
+			if h := reg.Histogram("remote.run_cpu_seconds", nil); h.Count() != 1 || h.Sum() != want.CPUSeconds() {
+				t.Errorf("cpu histogram count=%d sum=%g, want 1 and %g", h.Count(), h.Sum(), want.CPUSeconds())
+			}
+			if types := eventTypes(events); types[eventlog.RunResources] != 1 {
+				t.Errorf("run.resources events = %d, want 1", types[eventlog.RunResources])
+			}
+		})
+	}
+}
+
+// TestGateQuarantineEndsCampaign pins that a run the quarantine gate turns
+// away at dispatch settles the campaign when it is the last one owed: the
+// failure of r0 quarantines the shared sweep point, the refill that follows
+// gates r1, and the coordinator must drain rather than wait forever.
+func TestGateQuarantineEndsCampaign(t *testing.T) {
+	worker, coord := net.Pipe()
+	runs := []cheetah.Run{
+		{ID: "r0", Params: map[string]string{"p": "poison"}},
+		{ID: "r1", Params: map[string]string{"p": "poison"}},
+	}
+	e := &Engine{Listener: newPipeListener(coord), BatchSize: 1, LeaseTTL: time.Minute,
+		Resilience: &resilience.Config{QuarantineAfter: 1}}
+	done := make(chan resilience.CompletenessReport, 1)
+	go func() {
+		_, rep, _ := e.RunCampaign(context.Background(), "gate", runs)
+		done <- rep
+	}()
+	w := joinScripted(t, worker, "w0", 1)
+	w.serve(func(cheetah.Run, int) Outcome {
+		return failOutcome(resilience.MarkTransient(fmt.Errorf("poisoned")))
+	})
+	w.c.close()
+	if rep := <-done; rep.Quarantined != 2 {
+		t.Fatalf("report = %+v, want both runs quarantined", rep)
 	}
 }

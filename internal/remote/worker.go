@@ -305,9 +305,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			Collect:         w.Collect,
 			Restore:         w.Restore,
 		}
-		if memo.Validate() != nil {
-			memo = nil
-		}
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -632,15 +629,13 @@ func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.M
 		telemetry.Float("queue_wait_s", wait.Seconds()))
 	w.hQueueWait.Observe(wait.Seconds())
 	start := time.Now()
-	if memo != nil {
-		if res, ok := memo.Lookup(run); ok {
-			w.mCached.Inc()
-			span.End(telemetry.Bool("cached", true))
-			w.Events.Append(eventlog.Info, eventlog.RunCached, "", span.ID(),
-				telemetry.String("run", run.ID))
-			return Outcome{RunID: run.ID, OK: true, Cached: true,
-				Seconds: time.Since(start).Seconds(), Outputs: digestStrings(res)}
-		}
+	if res, ok := memo.Lookup(run); ok {
+		w.mCached.Inc()
+		span.End(telemetry.Bool("cached", true))
+		w.Events.Append(eventlog.Info, eventlog.RunCached, "", span.ID(),
+			telemetry.String("run", run.ID))
+		return Outcome{RunID: run.ID, OK: true, Cached: true,
+			Seconds: time.Since(start).Seconds(), Outputs: savanna.ProvenanceOutputs(res)}
 	}
 	w.Events.Append(eventlog.Info, eventlog.RunStart, "", span.ID(),
 		telemetry.String("run", run.ID), telemetry.String("worker", s.name))
@@ -656,10 +651,10 @@ func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.M
 		err = w.Executor.Execute(run)
 	}
 	var outputs map[string]string
-	if err == nil && memo != nil {
+	if err == nil {
 		var res cas.ActionResult
 		if res, err = memo.Record(run); err == nil {
-			outputs = digestStrings(res)
+			outputs = savanna.ProvenanceOutputs(res)
 		}
 	}
 	seconds := time.Since(start).Seconds()
@@ -691,16 +686,4 @@ func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.M
 	return Outcome{RunID: run.ID, OK: true, Seconds: seconds, Outputs: outputs,
 		CPUUserSeconds: usage.CPUUserSeconds, CPUSystemSeconds: usage.CPUSystemSeconds,
 		MaxRSSBytes: usage.MaxRSSBytes}
-}
-
-// digestStrings renders an action result's outputs for the wire.
-func digestStrings(res cas.ActionResult) map[string]string {
-	if len(res.Outputs) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(res.Outputs))
-	for k, d := range res.Outputs {
-		out[k] = string(d)
-	}
-	return out
 }

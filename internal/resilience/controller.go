@@ -206,14 +206,16 @@ func (c *Controller) NoteRetry() {
 }
 
 // Abort latches the campaign aborted with the given reason (first reason
-// wins).
-func (c *Controller) Abort(reason string) {
+// wins) and reports whether this call tripped the latch.
+func (c *Controller) Abort(reason string) bool {
 	c.mu.Lock()
-	if !c.aborted {
-		c.aborted = true
-		c.reason = reason
+	defer c.mu.Unlock()
+	if c.aborted {
+		return false
 	}
-	c.mu.Unlock()
+	c.aborted = true
+	c.reason = reason
+	return true
 }
 
 // Aborted reports the abort latch and its reason.

@@ -1,6 +1,7 @@
 package savanna
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -39,10 +40,15 @@ type Memo struct {
 	Restore func(run cheetah.Run, outputs map[string]cas.Digest) error
 }
 
-// validate checks the memo configuration.
-func (m *Memo) validate() error {
-	if m.Cache == nil {
-		return fmt.Errorf("savanna: memo needs an action cache")
+// errNoCache is a package value so that Validate, which Lookup and Record
+// call on every run, allocates nothing.
+var errNoCache = errors.New("savanna: memo needs an action cache")
+
+// Validate checks the memo configuration. A memo that fails it, a nil one
+// included, is no memo: Lookup misses and Record records nothing.
+func (m *Memo) Validate() error {
+	if m == nil || m.Cache == nil {
+		return errNoCache
 	}
 	return nil
 }
@@ -66,9 +72,14 @@ func (m *Memo) recipeDigest(run cheetah.Run) cas.Digest {
 	return cas.Recipe{Kind: runRecipeKind, Params: params, Inputs: inputs}.Digest()
 }
 
-// lookup checks for a usable cached result, restoring outputs when
-// configured. The bool reports a hit.
-func (m *Memo) lookup(run cheetah.Run) (cas.ActionResult, bool) {
+// Lookup checks for a usable cached result, restoring outputs when
+// configured; the bool reports a hit. The remote coordinator short-circuits
+// already-computed runs with it before dispatching, and workers against
+// their own (possibly shared) store.
+func (m *Memo) Lookup(run cheetah.Run) (cas.ActionResult, bool) {
+	if m.Validate() != nil {
+		return cas.ActionResult{}, false
+	}
 	res, ok := m.Cache.Get(m.recipeDigest(run))
 	if !ok {
 		return cas.ActionResult{}, false
@@ -81,9 +92,12 @@ func (m *Memo) lookup(run cheetah.Run) (cas.ActionResult, bool) {
 	return res, true
 }
 
-// record ingests a successful run's outputs into the store and caches the
+// Record ingests a successful run's outputs into the store and caches the
 // result under the run's recipe.
-func (m *Memo) record(run cheetah.Run) (cas.ActionResult, error) {
+func (m *Memo) Record(run cheetah.Run) (cas.ActionResult, error) {
+	if m.Validate() != nil {
+		return cas.ActionResult{}, nil
+	}
 	outputs := map[string]cas.Digest{}
 	if m.Collect != nil {
 		paths, err := m.Collect(run)
@@ -110,29 +124,6 @@ func (m *Memo) record(run cheetah.Run) (cas.ActionResult, error) {
 	return res, nil
 }
 
-// Validate checks the memo configuration — the exported form engines
-// outside this package (internal/remote) gate on.
-func (m *Memo) Validate() error { return m.validate() }
-
-// Lookup checks for a usable cached result, restoring outputs when
-// configured; the bool reports a hit. Exported for the remote engine: the
-// coordinator short-circuits already-computed runs before dispatching, and
-// workers short-circuit against their own (possibly shared) store.
-func (m *Memo) Lookup(run cheetah.Run) (cas.ActionResult, bool) { return m.lookup(run) }
-
-// Record ingests a successful run's outputs into the store and caches the
-// result under the run's recipe (exported for the remote worker, which
-// pushes outputs by digest instead of shipping bytes back).
-func (m *Memo) Record(run cheetah.Run) (cas.ActionResult, error) { return m.record(run) }
-
-// ProvenanceInputs renders the memo's key material as a provenance Inputs
-// map; nil-receiver-safe, mirroring the engines' provenance paths.
-func (m *Memo) ProvenanceInputs() map[string]string { return m.provenanceInputs() }
-
-// ProvenanceOutputs renders an action result's outputs as a provenance
-// Outputs map.
-func ProvenanceOutputs(res cas.ActionResult) map[string]string { return provenanceOutputs(res) }
-
 // provenanceInputs renders the memo's key material as a provenance Inputs
 // map (name → digest) — the gauge ontology's input-digest term made real.
 func (m *Memo) provenanceInputs() map[string]string {
@@ -152,9 +143,10 @@ func (m *Memo) provenanceInputs() map[string]string {
 	return in
 }
 
-// provenanceOutputs renders an action result's outputs as a provenance
-// Outputs map.
-func provenanceOutputs(res cas.ActionResult) map[string]string {
+// ProvenanceOutputs renders an action result's outputs as a digest map
+// (name → digest): the provenance Outputs field, and the outputs a remote
+// worker reports on the wire.
+func ProvenanceOutputs(res cas.ActionResult) map[string]string {
 	if len(res.Outputs) == 0 {
 		return nil
 	}

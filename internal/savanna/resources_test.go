@@ -2,12 +2,17 @@ package savanna
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
 	"fairflow/internal/cheetah"
+	"fairflow/internal/provenance"
 	"fairflow/internal/resilience"
+	"fairflow/internal/telemetry"
+	"fairflow/internal/telemetry/eventlog"
 )
 
 func TestResourceUsageAccumulate(t *testing.T) {
@@ -107,5 +112,86 @@ func TestProcessExecutorNoSinkStillRuns(t *testing.T) {
 	exe := &ProcessExecutor{Command: []string{"sh", "-c", "true"}}
 	if err := exe.ExecuteContext(context.Background(), cheetah.Run{ID: "plain"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTerminalRecordsCarryUsage pins that a run settled after at least one
+// attempt carries its elapsed time and accumulated resource usage to the
+// provenance record, the span, the cost histograms and the run.resources
+// event — whether it ends quarantined or failed.
+func TestTerminalRecordsCarryUsage(t *testing.T) {
+	charge := ResourceUsage{CPUUserSeconds: 0.5, CPUSystemSeconds: 0.25, MaxRSSBytes: 8 << 20}
+	for _, tc := range []struct {
+		name     string
+		err      error
+		attempts int
+	}{
+		{"quarantined", resilience.MarkTransient(fmt.Errorf("flaky")), 2},
+		{"failed", resilience.MarkPermanent(fmt.Errorf("bad parameters")), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exec := &ctxFuncExecutor{fn: func(ctx context.Context, run cheetah.Run) error {
+				ResourceSinkFrom(ctx).Accumulate(charge)
+				return tc.err
+			}}
+			prov := provenance.NewStore()
+			tracer := telemetry.NewTracer()
+			reg := telemetry.NewRegistry()
+			events := eventlog.NewLog()
+			eng := &LocalEngine{Executor: exec, Workers: 1, Prov: prov,
+				Resilience: &resilience.Config{Retry: resilience.RetryPolicy{MaxAttempts: 5},
+					QuarantineAfter: 2, Sleep: noSleep},
+				Tracer: tracer, Metrics: reg, Events: events}
+			runs, _ := testCampaign(1).EnumerateRuns()
+			if _, err := eng.RunAll("usage", runs); err != nil {
+				t.Fatal(err)
+			}
+			want := ResourceUsage{}
+			for i := 0; i < tc.attempts; i++ {
+				want.Accumulate(charge)
+			}
+			checkSettledUsage(t, prov, tracer, "savanna.run", events,
+				reg.Histogram("savanna.run_cpu_seconds", nil), want)
+		})
+	}
+}
+
+// checkSettledUsage asserts the one settled run's four cost sinks carry want.
+func checkSettledUsage(t *testing.T, prov *provenance.Store, tracer *telemetry.Tracer, spanName string,
+	events *eventlog.Log, cpu *telemetry.Histogram, want ResourceUsage) {
+	t.Helper()
+	recs := prov.Select(provenance.Query{})
+	if len(recs) != 1 {
+		t.Fatalf("provenance records = %d, want 1", len(recs))
+	}
+	rec := recs[0]
+	if !rec.End.After(rec.Start) {
+		t.Errorf("provenance record spans no time: %v .. %v", rec.Start, rec.End)
+	}
+	if rec.Resources == nil || rec.Resources.CPUUserSeconds != want.CPUUserSeconds ||
+		rec.Resources.CPUSystemSeconds != want.CPUSystemSeconds || rec.Resources.MaxRSSBytes != want.MaxRSSBytes {
+		t.Errorf("provenance resources = %+v, want %+v", rec.Resources, want)
+	}
+	cpuAttr := strconv.FormatFloat(want.CPUSeconds(), 'g', -1, 64)
+	var spanCPU string
+	for _, s := range tracer.Snapshot() {
+		if s.Name == spanName {
+			spanCPU = s.Attr("cpu_s")
+		}
+	}
+	if spanCPU != cpuAttr {
+		t.Errorf("%s span cpu_s = %q, want %s", spanName, spanCPU, cpuAttr)
+	}
+	if cpu.Count() != 1 || cpu.Sum() != want.CPUSeconds() {
+		t.Errorf("cpu histogram count=%d sum=%g, want 1 and %g", cpu.Count(), cpu.Sum(), want.CPUSeconds())
+	}
+	var resources int
+	for _, ev := range events.Snapshot() {
+		if ev.Type == eventlog.RunResources && ev.Attr("cpu_s") == cpuAttr {
+			resources++
+		}
+	}
+	if resources != 1 {
+		t.Errorf("run.resources events with cpu_s=%s: %d, want 1", cpuAttr, resources)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fairflow/internal/cas"
@@ -134,15 +133,11 @@ type LocalEngine struct {
 	// CampaignDir, when non-empty, receives status updates in the Cheetah
 	// directory schema.
 	CampaignDir string
-	// Retries re-executes a failed run up to this many extra times before
-	// recording it failed — the legacy knob, equivalent to a Resilience
-	// config of {Retry: {MaxAttempts: Retries + 1}}. Ignored when Resilience
-	// is set.
-	Retries int
 	// Resilience, when non-nil, arms the full fault-tolerance stack:
 	// classified retries with decorrelated-jitter backoff, per-run
 	// deadlines, sweep-point quarantine, the journaled attempt log that
 	// fairctl resume replays, and the campaign-level stop condition.
+	// Without it every run gets exactly one attempt.
 	Resilience *resilience.Config
 	// Memo, when non-nil, memoizes whole runs: a run whose (component
 	// digest, sweep point, input digests) recipe is already cached is
@@ -170,32 +165,37 @@ type LocalEngine struct {
 
 	// telOnce resolves the instruments once so executeOne never touches the
 	// registry lock.
-	telOnce      sync.Once
-	mExecuted    *telemetry.Counter
-	mCached      *telemetry.Counter
-	mFailed      *telemetry.Counter
-	mRetries     *telemetry.Counter
-	mQuarantined *telemetry.Counter
-	hRunSecs     *telemetry.Histogram
-	hAttempts    *telemetry.Histogram
-	hCPUSecs     *telemetry.Histogram
-	hMaxRSS      *telemetry.Histogram
+	telOnce sync.Once
+	metrics LedgerMetrics
 }
 
-// telemetryInit resolves the engine's instruments (no-ops when Metrics is
-// nil: nil instruments swallow updates).
-func (e *LocalEngine) telemetryInit() {
+// open starts one campaign's ledger, its span and its campaign.start event.
+// The engine's instruments are resolved once (no-ops when Metrics is nil:
+// nil instruments swallow updates).
+func (e *LocalEngine) open(ctx context.Context, campaign, discipline string, runs int) (context.Context, *Ledger) {
 	e.telOnce.Do(func() {
-		e.mExecuted = e.Metrics.Counter("savanna.runs_executed_total")
-		e.mCached = e.Metrics.Counter("savanna.runs_cached_total")
-		e.mFailed = e.Metrics.Counter("savanna.runs_failed_total")
-		e.mRetries = e.Metrics.Counter("savanna.retries_total")
-		e.mQuarantined = e.Metrics.Counter("savanna.quarantined_total")
-		e.hRunSecs = e.Metrics.Histogram("savanna.run_seconds", nil)
-		e.hAttempts = e.Metrics.Histogram("savanna.run_attempts", []float64{1, 2, 3, 5, 8, 13})
-		e.hCPUSecs = e.Metrics.Histogram("savanna.run_cpu_seconds", nil)
-		e.hMaxRSS = e.Metrics.Histogram("savanna.run_max_rss_bytes", RSSBuckets)
+		e.metrics = LedgerMetrics{
+			Succeeded:   e.Metrics.Counter("savanna.runs_executed_total"),
+			Cached:      e.Metrics.Counter("savanna.runs_cached_total"),
+			Failed:      e.Metrics.Counter("savanna.runs_failed_total"),
+			Retries:     e.Metrics.Counter("savanna.retries_total"),
+			Quarantined: e.Metrics.Counter("savanna.quarantined_total"),
+			RunSeconds:  e.Metrics.Histogram("savanna.run_seconds", nil),
+			Attempts:    e.Metrics.Histogram("savanna.run_attempts", []float64{1, 2, 3, 5, 8, 13}),
+			CPUSeconds:  e.Metrics.Histogram("savanna.run_cpu_seconds", nil),
+			MaxRSS:      e.Metrics.Histogram("savanna.run_max_rss_bytes", RSSBuckets),
+		}
 	})
+	l := &Ledger{
+		Campaign: campaign, RC: NewController(e.Resilience),
+		Prov: e.Prov, Memo: e.Memo, Seq: &e.attempt, Dir: e.CampaignDir,
+		Events: e.Events, Metrics: e.metrics,
+	}
+	ctx, _ = l.Open(ctx, e.Tracer, "savanna.campaign",
+		[]telemetry.Attr{telemetry.String("campaign", campaign),
+			telemetry.String("discipline", discipline), telemetry.Int("runs", runs)},
+		telemetry.String("campaign", campaign), telemetry.Int("runs", runs))
+	return ctx, l
 }
 
 // validate checks the engine configuration.
@@ -207,18 +207,6 @@ func (e *LocalEngine) validate() error {
 		return fmt.Errorf("savanna: engine needs ≥1 worker")
 	}
 	return nil
-}
-
-// controller builds the campaign's resilience runtime. Without an explicit
-// Resilience config the legacy Retries knob is honoured: immediate retries,
-// no quarantine, no journal, no stop condition.
-func (e *LocalEngine) controller() *resilience.Controller {
-	if e.Resilience != nil {
-		return resilience.NewController(*e.Resilience)
-	}
-	return resilience.NewController(resilience.Config{
-		Retry: resilience.RetryPolicy{MaxAttempts: e.Retries + 1},
-	})
 }
 
 // RunAll executes the given runs with dynamic scheduling: workers pull the
@@ -238,14 +226,7 @@ func (e *LocalEngine) RunCampaign(ctx context.Context, campaign string, runs []c
 	if err := e.validate(); err != nil {
 		return nil, resilience.CompletenessReport{}, err
 	}
-	e.telemetryInit()
-	rc := e.controller()
-	ctx, campaignSpan := e.Tracer.Start(ctx, "savanna.campaign",
-		telemetry.String("campaign", campaign),
-		telemetry.String("discipline", "dynamic"),
-		telemetry.Int("runs", len(runs)))
-	e.Events.Append(eventlog.Info, eventlog.CampaignStart, campaign, campaignSpan.ID(),
-		telemetry.String("campaign", campaign), telemetry.Int("runs", len(runs)))
+	ctx, l := e.open(ctx, campaign, "dynamic", len(runs))
 	results := make([]RunResult, len(runs))
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -254,37 +235,21 @@ func (e *LocalEngine) RunCampaign(ctx context.Context, campaign string, runs []c
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i] = e.executeOne(ctx, campaign, runs[i], rc)
+				results[i] = e.executeOne(ctx, l, runs[i])
 			}
 		}()
 	}
 	for i := range runs {
-		if _, aborted := rc.Aborted(); aborted || ctx.Err() != nil {
-			results[i] = e.skipOne(campaign, runs[i], rc)
+		if _, aborted := l.RC.Aborted(); aborted || ctx.Err() != nil {
+			results[i] = skipOne(l, runs[i])
 			continue
 		}
 		work <- i
 	}
 	close(work)
 	wg.Wait()
-	report := e.finishCampaign(campaign, campaignSpan, rc, len(runs))
+	report := l.Close(len(runs), campaign, nil, telemetry.String("campaign", campaign))
 	return results, report, nil
-}
-
-// finishCampaign closes the campaign span, emits the abort/done events and
-// renders the completeness report (shared by both disciplines).
-func (e *LocalEngine) finishCampaign(campaign string, span *telemetry.Span, rc *resilience.Controller, total int) resilience.CompletenessReport {
-	if reason, aborted := rc.Aborted(); aborted {
-		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, span.ID(),
-			telemetry.String("campaign", campaign))
-	}
-	span.End()
-	e.Events.Append(eventlog.Info, eventlog.CampaignDone, campaign, span.ID(),
-		telemetry.String("campaign", campaign))
-	if e.Resilience != nil {
-		e.Resilience.Journal.Sync()
-	}
-	return rc.Report(total)
 }
 
 // RunSets executes runs in barrier-synchronized sets of setSize — the
@@ -297,14 +262,7 @@ func (e *LocalEngine) RunSets(campaign string, runs []cheetah.Run, setSize int) 
 	if setSize < 1 {
 		return nil, fmt.Errorf("savanna: set size must be ≥1")
 	}
-	e.telemetryInit()
-	rc := e.controller()
-	ctx, campaignSpan := e.Tracer.Start(context.Background(), "savanna.campaign",
-		telemetry.String("campaign", campaign),
-		telemetry.String("discipline", "set-synchronized"),
-		telemetry.Int("runs", len(runs)))
-	e.Events.Append(eventlog.Info, eventlog.CampaignStart, campaign, campaignSpan.ID(),
-		telemetry.String("campaign", campaign), telemetry.Int("runs", len(runs)))
+	ctx, l := e.open(context.Background(), campaign, "set-synchronized", len(runs))
 	results := make([]RunResult, len(runs))
 	for lo := 0; lo < len(runs); lo += setSize {
 		hi := lo + setSize
@@ -314,8 +272,8 @@ func (e *LocalEngine) RunSets(campaign string, runs []cheetah.Run, setSize int) 
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, e.Workers)
 		for i := lo; i < hi; i++ {
-			if _, aborted := rc.Aborted(); aborted {
-				results[i] = e.skipOne(campaign, runs[i], rc)
+			if _, aborted := l.RC.Aborted(); aborted {
+				results[i] = skipOne(l, runs[i])
 				continue
 			}
 			i := i
@@ -324,12 +282,12 @@ func (e *LocalEngine) RunSets(campaign string, runs []cheetah.Run, setSize int) 
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				results[i] = e.executeOne(ctx, campaign, runs[i], rc)
+				results[i] = e.executeOne(ctx, l, runs[i])
 			}()
 		}
 		wg.Wait() // the set barrier
 	}
-	e.finishCampaign(campaign, campaignSpan, rc, len(runs))
+	l.Close(len(runs), campaign, nil, telemetry.String("campaign", campaign))
 	return results, nil
 }
 
@@ -348,222 +306,87 @@ func (e *LocalEngine) execute(ctx context.Context, run cheetah.Run, rc *resilien
 }
 
 // skipOne records a run the campaign never dispatched (abort latch tripped
-// or the campaign context was cancelled first). Skipped runs journal as
-// skipped and keep their pending status on disk, so both resume paths — the
-// attempt journal and the campaign directory — list them as still owed.
-func (e *LocalEngine) skipOne(campaign string, run cheetah.Run, rc *resilience.Controller) RunResult {
-	rc.JournalAttempt(run.ID, PointKey(run), 0, resilience.AttemptSkipped, "", nil)
-	rc.NoteOutcome(resilience.OutcomeSkipped)
-	e.appendProvenance(campaign, run, provenance.StatusSkipped, 0, cas.ActionResult{}, false, ResourceUsage{})
+// or the campaign context was cancelled first).
+func skipOne(l *Ledger, run cheetah.Run) RunResult {
+	l.Skipped(Entry{Run: run, Point: PointKey(run)})
 	return RunResult{Run: run, Status: provenance.StatusSkipped}
 }
 
-func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheetah.Run, rc *resilience.Controller) RunResult {
+func (e *LocalEngine) executeOne(ctx context.Context, l *Ledger, run cheetah.Run) RunResult {
 	start := time.Now()
 	runCtx, span := e.Tracer.Start(ctx, "savanna.run", telemetry.String("run", run.ID))
 	e.Events.Append(eventlog.Info, eventlog.RunStart, "", span.ID(), telemetry.String("run", run.ID))
 	// Per-run resource sink: the executor accumulates each attempt's rusage
-	// into it, and the settled total lands on the span, the cost histograms
-	// and the provenance record.
+	// into it, and the ledger carries the settled total to the span, the
+	// cost histograms and the provenance record.
 	var usage ResourceUsage
 	runCtx = WithResourceSink(runCtx, &usage)
-	point := PointKey(run)
-	q := rc.Quarantine()
+	en := Entry{Run: run, Point: PointKey(run), Span: span}
 
 	// Memoized skip path: an unchanged (component, sweep point, inputs)
 	// recipe means this run's outputs already exist — record it succeeded
 	// without executing anything.
-	if e.Memo != nil && e.Memo.validate() == nil {
-		if cached, ok := e.Memo.lookup(run); ok {
-			elapsed := time.Since(start)
-			if e.CampaignDir != "" {
-				cheetah.SetRunStatus(e.CampaignDir, run.ID, cheetah.RunSucceeded)
-			}
-			e.appendProvenance(campaign, run, provenance.StatusSucceeded, elapsed, cached, true, ResourceUsage{})
-			rc.JournalAttempt(run.ID, point, 0, resilience.AttemptCached, "", nil)
-			rc.NoteOutcome(resilience.OutcomeCached)
-			e.mCached.Inc()
-			e.hRunSecs.Observe(elapsed.Seconds())
-			span.End(telemetry.Bool("cached", true))
-			e.Events.Append(eventlog.Info, eventlog.RunCached, "", span.ID(), telemetry.String("run", run.ID))
-			return RunResult{Run: run, Status: provenance.StatusSucceeded, Seconds: elapsed.Seconds(), Cached: true}
-		}
+	if cached, ok := e.Memo.Lookup(run); ok {
+		en.Seconds = time.Since(start).Seconds()
+		l.Cached(en, cached)
+		return RunResult{Run: run, Status: provenance.StatusSucceeded, Seconds: en.Seconds, Cached: true}
 	}
 
 	// Quarantine gate: a sweep point already side-lined (by an earlier run at
 	// the same point, or restored from a resumed journal) fails without
 	// spending an attempt.
-	if !q.Allow(point) {
-		return e.quarantineOne(campaign, run, span, rc, point, 0, nil)
+	if !l.RC.Quarantine().Allow(en.Point) {
+		msg := l.Quarantined(en, "", nil)
+		return RunResult{Run: run, Status: provenance.StatusFailed, Err: msg, Quarantined: true}
 	}
 
-	if e.CampaignDir != "" {
-		cheetah.SetRunStatus(e.CampaignDir, run.ID, cheetah.RunRunning)
-	}
-
-	maxAttempts := rc.Attempts()
 	var (
 		err      error
 		recorded cas.ActionResult
-		attempt  int
 		prev     time.Duration
 	)
 	for {
-		attempt++
-		rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptStart, "", nil)
-		err = e.execute(runCtx, run, rc)
-		if err == nil && e.Memo != nil && e.Memo.validate() == nil {
-			recorded, err = e.Memo.record(run) // a failed record is a failed run: its reuse contract is broken
+		en.Attempt++
+		l.Started(en)
+		err = e.execute(runCtx, run, l.RC)
+		if err == nil {
+			recorded, err = e.Memo.Record(run) // a failed record is a failed run: its reuse contract is broken
 		}
 		if err == nil {
-			q.NoteSuccess(point)
-			rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptSuccess, "", nil)
 			break
 		}
 		class := resilience.Classify(err)
-		rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptFailure, class, err)
-		if q.NoteFailure(point) {
-			return e.quarantineOne(campaign, run, span, rc, point, attempt, err)
+		en.Seconds, en.Usage = time.Since(start).Seconds(), usage
+		if l.Failure(en, class, err) {
+			return RunResult{Run: run, Status: provenance.StatusFailed, Err: err.Error(),
+				Attempts: en.Attempt, Quarantined: true}
 		}
-		if !class.Retryable() || attempt >= maxAttempts || ctx.Err() != nil {
+		if !class.Retryable() || en.Attempt >= l.RC.Attempts() || ctx.Err() != nil {
 			break
 		}
-		prev = rc.Backoff(prev)
-		rc.NoteRetry()
-		e.mRetries.Inc()
-		e.Events.Append(eventlog.Warn, eventlog.RunRetry, err.Error(), span.ID(),
-			telemetry.String("run", run.ID), telemetry.Int("attempt", attempt),
-			telemetry.String("class", string(class)), telemetry.Int("delay_ms", int(prev.Milliseconds())))
+		prev = l.RC.Backoff(prev)
+		l.Retry(en, class, err, prev)
 		// The backoff sleep gets its own child span so critical-path analysis
 		// can attribute this dead time to "retry" rather than lumping it into
 		// the run's exec time.
 		_, waitSpan := e.Tracer.Start(runCtx, "savanna.retry_wait",
-			telemetry.String("run", run.ID), telemetry.Int("attempt", attempt),
+			telemetry.String("run", run.ID), telemetry.Int("attempt", en.Attempt),
 			telemetry.Int("delay_ms", int(prev.Milliseconds())))
-		sleepErr := rc.Sleep(ctx, prev)
+		sleepErr := l.RC.Sleep(ctx, prev)
 		waitSpan.End()
 		if sleepErr != nil {
 			break // campaign cancelled mid-backoff; err keeps the last failure
 		}
 	}
-	elapsed := time.Since(start)
-	res := RunResult{Run: run, Seconds: elapsed.Seconds(), Attempts: attempt}
-	status := provenance.StatusSucceeded
-	dirStatus := cheetah.RunSucceeded
+	en.Seconds, en.Usage = time.Since(start).Seconds(), usage
+	res := RunResult{Run: run, Status: provenance.StatusSucceeded, Seconds: en.Seconds, Attempts: en.Attempt}
 	if err != nil {
-		status = provenance.StatusFailed
-		dirStatus = cheetah.RunFailed
-		res.Err = err.Error()
-	}
-	res.Status = status
-	if e.CampaignDir != "" {
-		cheetah.SetRunStatus(e.CampaignDir, run.ID, dirStatus)
-	}
-	e.appendProvenance(campaign, run, status, elapsed, recorded, false, usage)
-	e.hRunSecs.Observe(elapsed.Seconds())
-	e.hAttempts.Observe(float64(attempt))
-	if !usage.Zero() {
-		span.Annotate(telemetry.Float("cpu_s", usage.CPUSeconds()),
-			telemetry.Float("cpu_user_s", usage.CPUUserSeconds),
-			telemetry.Float("cpu_sys_s", usage.CPUSystemSeconds),
-			telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-		e.hCPUSecs.Observe(usage.CPUSeconds())
-		e.hMaxRSS.Observe(float64(usage.MaxRSSBytes))
-		e.Events.Append(eventlog.Info, eventlog.RunResources, "", span.ID(),
-			telemetry.String("run", run.ID),
-			telemetry.Float("cpu_s", usage.CPUSeconds()),
-			telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-	}
-	if err != nil {
-		// The failure's cause rides both observability channels: an "error"
-		// span attribute (visible in fairctl trace and the Chrome export)
-		// and an ERROR journal event under the same span.
-		if rc.NoteOutcome(resilience.OutcomeFailed) {
-			reason, _ := rc.Aborted()
-			e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, span.ID(),
-				telemetry.String("campaign", campaign))
-		}
-		e.mFailed.Inc()
-		span.End(telemetry.Bool("cached", false), telemetry.String("status", string(status)),
-			telemetry.String("error", err.Error()), telemetry.Int("attempts", attempt))
-		e.Events.Append(eventlog.Error, eventlog.RunFailed, err.Error(), span.ID(),
-			telemetry.String("run", run.ID), telemetry.Int("attempts", attempt))
+		l.Failed(en, err)
+		res.Status, res.Err = provenance.StatusFailed, err.Error()
 		return res
 	}
-	rc.NoteOutcome(resilience.OutcomeSucceeded)
-	e.mExecuted.Inc()
-	span.End(telemetry.Bool("cached", false), telemetry.String("status", string(status)),
-		telemetry.Int("attempts", attempt))
-	e.Events.Append(eventlog.Info, eventlog.RunSucceeded, "", span.ID(), telemetry.String("run", run.ID))
+	l.Succeeded(en, recorded)
 	return res
-}
-
-// quarantineOne closes out a run whose sweep point is (or just became)
-// side-lined by the circuit breaker. attempt is 0 when the gate rejected the
-// run before any execution.
-func (e *LocalEngine) quarantineOne(campaign string, run cheetah.Run, span *telemetry.Span, rc *resilience.Controller, point string, attempt int, cause error) RunResult {
-	msg := "sweep point " + point + " quarantined"
-	if cause != nil {
-		msg = cause.Error()
-	}
-	rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptQuarantined, resilience.Classify(cause), cause)
-	if e.CampaignDir != "" {
-		cheetah.SetRunStatus(e.CampaignDir, run.ID, cheetah.RunFailed)
-	}
-	e.appendProvenance(campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, ResourceUsage{})
-	if attempt > 0 {
-		e.hAttempts.Observe(float64(attempt))
-	}
-	if rc.NoteOutcome(resilience.OutcomeQuarantined) {
-		reason, _ := rc.Aborted()
-		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, span.ID(),
-			telemetry.String("campaign", campaign))
-	}
-	e.mQuarantined.Inc()
-	e.mFailed.Inc()
-	span.End(telemetry.Bool("cached", false), telemetry.String("status", "failed"),
-		telemetry.Bool("quarantined", true), telemetry.Int("attempts", attempt))
-	e.Events.Append(eventlog.Error, eventlog.RunQuarantined, msg, span.ID(),
-		telemetry.String("run", run.ID), telemetry.String("point", point),
-		telemetry.Int("attempts", attempt))
-	return RunResult{
-		Run: run, Status: provenance.StatusFailed, Err: msg,
-		Attempts: attempt, Quarantined: true,
-	}
-}
-
-// appendProvenance emits one run's provenance record, carrying the memo's
-// input and output digests (the ontology's input-digest/output-digest terms)
-// and a cached annotation for skipped runs.
-func (e *LocalEngine) appendProvenance(campaign string, run cheetah.Run, status provenance.Status, elapsed time.Duration, res cas.ActionResult, cached bool, usage ResourceUsage) {
-	if e.Prov == nil {
-		return
-	}
-	end := time.Now()
-	rec := provenance.Record{
-		ID:         fmt.Sprintf("%s/%s#%d", campaign, run.ID, atomic.AddInt64(&e.attempt, 1)),
-		Component:  "savanna-run",
-		Start:      end.Add(-elapsed),
-		End:        end,
-		Status:     status,
-		CampaignID: campaign,
-		SweepPoint: run.Params,
-		Inputs:     e.Memo.provenanceInputs(),
-		Outputs:    provenanceOutputs(res),
-	}
-	if cached {
-		rec.Annotations = append(rec.Annotations, provenance.Annotation{
-			Key: "cached", Value: "true", Sensitivity: provenance.Public,
-		})
-	}
-	if !usage.Zero() {
-		rec.Resources = &provenance.Resources{
-			CPUUserSeconds:   usage.CPUUserSeconds,
-			CPUSystemSeconds: usage.CPUSystemSeconds,
-			MaxRSSBytes:      usage.MaxRSSBytes,
-		}
-	}
-	e.Prov.Append(rec)
 }
 
 // Remaining filters a manifest's runs to the resubmission set: runs whose

@@ -10,6 +10,7 @@ import (
 
 	"fairflow/internal/cheetah"
 	"fairflow/internal/provenance"
+	"fairflow/internal/resilience"
 )
 
 func testCampaign(n int) cheetah.Campaign {
@@ -227,7 +228,8 @@ func TestRetriesRecoverTransientFailures(t *testing.T) {
 		}
 		return nil
 	})
-	eng := &LocalEngine{Executor: reg, Workers: 2, Retries: 2}
+	eng := &LocalEngine{Executor: reg, Workers: 2,
+		Resilience: &resilience.Config{Retry: resilience.RetryPolicy{MaxAttempts: 3}}}
 	results, err := eng.RunAll(campaign.Name, m.Runs)
 	if err != nil {
 		t.Fatal(err)

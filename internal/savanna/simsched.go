@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"time"
 
+	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/hpcsim"
 	"fairflow/internal/resilience"
@@ -111,37 +112,29 @@ type SimEngine struct {
 	// campaignCtx parents allocation spans under RunToCompletion's
 	// campaign span.
 	campaignCtx context.Context
-	// rc is the campaign's resilience runtime; RunToCompletion installs one
-	// for the whole resubmission loop, a standalone RunAllocation gets its
-	// own. attempts and prevDelay carry per-run retry state across
-	// allocations (an infra kill refunds its attempt).
-	rc        *resilience.Controller
+	// led is the campaign's ledger and resilience runtime; RunToCompletion
+	// installs one for the whole resubmission loop, a standalone
+	// RunAllocation gets its own. attempts and prevDelay carry per-run retry
+	// state across allocations (an infra kill refunds its attempt).
+	led       *Ledger
 	attempts  map[string]int
 	prevDelay map[string]time.Duration
 	// sim is the current allocation's event queue (for virtual-time backoff).
-	sim *hpcsim.Sim
-	// Instruments, resolved once per allocation.
-	mExecuted    *telemetry.Counter
-	mKilled      *telemetry.Counter
-	mFailed      *telemetry.Counter
-	mRetries     *telemetry.Counter
-	mQuarantined *telemetry.Counter
-	hRunSecs     *telemetry.Histogram
-	hAttempts    *telemetry.Histogram
+	sim     *hpcsim.Sim
+	mKilled *telemetry.Counter
 }
 
-// controller builds the sim campaign's resilience runtime (a default one
-// when no Resilience config is set: single attempt, no quarantine).
-func (e *SimEngine) controller() *resilience.Controller {
-	if e.Resilience != nil {
-		return resilience.NewController(*e.Resilience)
-	}
-	return resilience.NewController(resilience.Config{})
-}
-
-// resetResilience installs a fresh controller and per-run retry state.
-func (e *SimEngine) resetResilience() {
-	e.rc = e.controller()
+// resetLedger installs a fresh ledger and per-run retry state.
+func (e *SimEngine) resetLedger() {
+	e.led = &Ledger{RC: NewController(e.Resilience), Events: e.Events, Metrics: LedgerMetrics{
+		Succeeded:   e.Metrics.Counter("savanna.runs_executed_total"),
+		Failed:      e.Metrics.Counter("savanna.runs_failed_total"),
+		Retries:     e.Metrics.Counter("savanna.retries_total"),
+		Quarantined: e.Metrics.Counter("savanna.quarantined_total"),
+		RunSeconds:  e.Metrics.Histogram("savanna.run_seconds", nil),
+		Attempts:    e.Metrics.Histogram("savanna.run_attempts", []float64{1, 2, 3, 5, 8, 13}),
+	}}
+	e.mKilled = e.Metrics.Counter("savanna.runs_killed_total")
 	e.attempts = map[string]int{}
 	e.prevDelay = map[string]time.Duration{}
 }
@@ -236,23 +229,16 @@ func (e *SimEngine) RunAllocation(runs []cheetah.Run, nodes int, walltime float6
 	sim := hpcsim.New(clusterSeed)
 	base := e.clockBase
 	e.setVirtualClock(func() float64 { return base + sim.Now() })
-	if e.rc == nil {
+	if e.led == nil {
 		// Standalone allocation (not under RunToCompletion): own runtime.
-		e.resetResilience()
-		defer func() { e.rc = nil }()
+		e.resetLedger()
+		defer func() { e.led = nil }()
 	}
 	// Journal stamps advance with the simulation, not the wall clock.
-	e.rc.SetNow(func() time.Time {
+	e.led.RC.SetNow(func() time.Time {
 		return time.Unix(0, 0).Add(time.Duration((base + sim.Now()) * float64(time.Second)))
 	})
 	e.sim = sim
-	e.mExecuted = e.Metrics.Counter("savanna.runs_executed_total")
-	e.mKilled = e.Metrics.Counter("savanna.runs_killed_total")
-	e.mFailed = e.Metrics.Counter("savanna.runs_failed_total")
-	e.mRetries = e.Metrics.Counter("savanna.retries_total")
-	e.mQuarantined = e.Metrics.Counter("savanna.quarantined_total")
-	e.hRunSecs = e.Metrics.Histogram("savanna.run_seconds", nil)
-	e.hAttempts = e.Metrics.Histogram("savanna.run_attempts", []float64{1, 2, 3, 5, 8, 13})
 	cluster := hpcsim.NewCluster(sim, hpcsim.ClusterConfig{Nodes: nodes}, clusterSeed+1)
 	cluster.SetMetrics(e.Metrics)
 	cluster.SetEvents(e.Events)
@@ -343,21 +329,12 @@ const (
 	simFailed
 )
 
-// noteOutcome tallies a terminal outcome, emitting the campaign-abort event
-// when this outcome trips the stop condition.
-func (e *SimEngine) noteOutcome(kind string) {
-	if e.rc.NoteOutcome(kind) {
-		reason, _ := e.rc.Aborted()
-		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, 0)
-	}
-}
-
 // nextPending pops the next runnable pending run, disposing quarantined
 // sweep points as terminal failures along the way. When the campaign abort
 // latch has tripped the queue is cleared untallied — RunToCompletion
 // accounts the skips once, against the full remaining set.
 func (e *SimEngine) nextPending(st *allocState) (cheetah.Run, bool) {
-	if _, aborted := e.rc.Aborted(); aborted {
+	if _, aborted := e.led.RC.Aborted(); aborted {
 		st.pending = nil
 		return cheetah.Run{}, false
 	}
@@ -365,15 +342,10 @@ func (e *SimEngine) nextPending(st *allocState) (cheetah.Run, bool) {
 		run := st.pending[0]
 		st.pending = st.pending[1:]
 		point := PointKey(run)
-		if e.rc.Quarantine().Allow(point) {
+		if e.led.RC.Quarantine().Allow(point) {
 			return run, true
 		}
-		e.rc.JournalAttempt(run.ID, point, e.attempts[run.ID], resilience.AttemptQuarantined, "", nil)
-		e.noteOutcome(resilience.OutcomeQuarantined)
-		e.mQuarantined.Inc()
-		e.mFailed.Inc()
-		e.Events.Append(eventlog.Error, eventlog.RunQuarantined, "sweep point "+point+" quarantined", 0,
-			telemetry.String("run", run.ID), telemetry.String("point", point))
+		e.led.Quarantined(Entry{Run: run, Point: point, Attempt: e.attempts[run.ID]}, "", nil)
 		st.out.Failed = append(st.out.Failed, run)
 	}
 	return cheetah.Run{}, false
@@ -393,13 +365,14 @@ func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, run c
 		telemetry.String("run", run.ID), telemetry.Int("node", nid))
 	e.Events.Append(eventlog.Info, eventlog.RunStart, "", span.ID(),
 		telemetry.String("run", run.ID), telemetry.Int("node", nid))
-	e.rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptStart, "", nil)
+	e.led.Started(Entry{Run: run, Point: point, Attempt: attempt})
 	var task *hpcsim.Task
 	task, err := a.RunTask(run.ID, nid, dur, func(ok bool) {
 		// Every attempt completion is a history sampling opportunity; the
 		// ring throttles to its virtual-time cadence. Deferred so the sample
 		// sees this attempt's counter updates.
 		defer e.sampleHistory()
+		l := e.led
 		if !ok {
 			// Infrastructure kill: the attempt is refunded — a node failure
 			// or walltime cut says nothing about the run itself.
@@ -408,7 +381,7 @@ func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, run c
 				reason = task.KillReason
 			}
 			e.attempts[run.ID] = attempt - 1
-			e.rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptKilled, resilience.ClassTransient, fmt.Errorf("%s", reason))
+			l.RC.JournalAttempt(run.ID, point, attempt, resilience.AttemptKilled, resilience.ClassTransient, fmt.Errorf("%s", reason))
 			e.mKilled.Inc()
 			span.End(telemetry.String("status", "killed"), telemetry.String("reason", reason))
 			e.Events.Append(eventlog.Warn, eventlog.RunKilled, reason, span.ID(),
@@ -420,54 +393,26 @@ func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, run c
 		if e.FaultModel != nil {
 			ferr = e.FaultModel(run, attempt, e.faultRNG(run, attempt))
 		}
+		en := Entry{Run: run, Point: point, Attempt: attempt, Span: span, Seconds: dur}
 		if ferr == nil {
-			e.rc.Quarantine().NoteSuccess(point)
-			e.rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptSuccess, "", nil)
-			e.noteOutcome(resilience.OutcomeSucceeded)
-			e.mExecuted.Inc()
-			e.hRunSecs.Observe(dur)
-			e.hAttempts.Observe(float64(attempt))
-			span.End(telemetry.String("status", "succeeded"), telemetry.Int("attempts", attempt))
-			e.Events.Append(eventlog.Info, eventlog.RunSucceeded, "", span.ID(),
-				telemetry.String("run", run.ID))
+			l.Succeeded(en, cas.ActionResult{})
 			done(simCompleted, 0)
 			return
 		}
 		class := resilience.Classify(ferr)
-		e.rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptFailure, class, ferr)
-		if e.rc.Quarantine().NoteFailure(point) {
-			e.rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptQuarantined, class, ferr)
-			e.noteOutcome(resilience.OutcomeQuarantined)
-			e.mQuarantined.Inc()
-			e.mFailed.Inc()
-			e.hAttempts.Observe(float64(attempt))
-			span.End(telemetry.String("status", "failed"), telemetry.Bool("quarantined", true),
-				telemetry.Int("attempts", attempt))
-			e.Events.Append(eventlog.Error, eventlog.RunQuarantined, ferr.Error(), span.ID(),
-				telemetry.String("run", run.ID), telemetry.String("point", point),
-				telemetry.Int("attempts", attempt))
+		if l.Failure(en, class, ferr) {
 			done(simFailed, 0)
 			return
 		}
-		if class.Retryable() && attempt < e.rc.Attempts() {
-			delay := e.rc.Backoff(e.prevDelay[run.ID])
+		if class.Retryable() && attempt < l.RC.Attempts() {
+			delay := l.RC.Backoff(e.prevDelay[run.ID])
 			e.prevDelay[run.ID] = delay
-			e.rc.NoteRetry()
-			e.mRetries.Inc()
+			l.Retry(en, class, ferr, delay)
 			span.End(telemetry.String("status", "retry"), telemetry.Int("attempts", attempt))
-			e.Events.Append(eventlog.Warn, eventlog.RunRetry, ferr.Error(), span.ID(),
-				telemetry.String("run", run.ID), telemetry.Int("attempt", attempt),
-				telemetry.String("class", string(class)), telemetry.Int("delay_ms", int(delay.Milliseconds())))
 			done(simRetryAfter, delay.Seconds())
 			return
 		}
-		e.noteOutcome(resilience.OutcomeFailed)
-		e.mFailed.Inc()
-		e.hAttempts.Observe(float64(attempt))
-		span.End(telemetry.String("status", "failed"), telemetry.String("error", ferr.Error()),
-			telemetry.Int("attempts", attempt))
-		e.Events.Append(eventlog.Error, eventlog.RunFailed, ferr.Error(), span.ID(),
-			telemetry.String("run", run.ID), telemetry.Int("attempts", attempt))
+		l.Failed(en, ferr)
 		done(simFailed, 0)
 	})
 	if err != nil {
@@ -609,16 +554,16 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 	// continuous virtual timeline (clockBase carries time across the
 	// per-allocation sims, which each restart at zero).
 	e.setVirtualClock(func() float64 { return e.clockBase })
-	ctx, campaignSpan := e.Tracer.Start(context.Background(), "savanna.campaign",
-		telemetry.String("discipline", string(d)), telemetry.Int("runs", len(runs)))
-	e.Events.Append(eventlog.Info, eventlog.CampaignStart, "", campaignSpan.ID(),
+	// One ledger spans the whole resubmission loop: attempt counts,
+	// quarantine decisions and the journal carry across allocations.
+	e.resetLedger()
+	defer func() { e.led = nil }()
+	l := e.led
+	ctx, campaignSpan := l.Open(context.Background(), e.Tracer, "savanna.campaign",
+		[]telemetry.Attr{telemetry.String("discipline", string(d)), telemetry.Int("runs", len(runs))},
 		telemetry.Int("runs", len(runs)), telemetry.String("discipline", string(d)))
 	e.campaignCtx = ctx
 	defer func() { e.campaignCtx = nil }()
-	// One resilience runtime spans the whole resubmission loop: attempt
-	// counts, quarantine decisions and the journal carry across allocations.
-	e.resetResilience()
-	defer func() { e.rc = nil }()
 
 	done := map[string]bool{}
 	outcome := &CampaignOutcome{}
@@ -629,7 +574,6 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 			campaignSpan.End(telemetry.String("error", "allocation budget exhausted"))
 			return nil, fmt.Errorf("savanna: campaign incomplete after %d allocations (%d runs left)", maxAllocations, len(remaining))
 		}
-		rc := e.rc
 		res, err := e.RunAllocation(remaining, nodes, walltime, d, seed+int64(alloc)*7919)
 		if err != nil {
 			campaignSpan.End(telemetry.String("error", err.Error()))
@@ -657,20 +601,15 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 				next = append(next, run)
 			}
 		}
-		if reason, aborted := rc.Aborted(); aborted {
+		if reason, aborted := l.RC.Aborted(); aborted {
 			// Graceful abort: the never-to-be-attempted remainder is
 			// journaled and tallied as skipped, once, here.
 			for _, run := range next {
-				rc.JournalAttempt(run.ID, PointKey(run), e.attempts[run.ID], resilience.AttemptSkipped, "", nil)
-				rc.NoteOutcome(resilience.OutcomeSkipped)
+				l.Skipped(Entry{Run: run, Point: PointKey(run), Attempt: e.attempts[run.ID]})
 			}
-			outcome.Report = rc.Report(len(runs))
-			campaignSpan.End(telemetry.String("error", "aborted: "+reason))
-			e.Events.Append(eventlog.Info, eventlog.CampaignDone, "aborted", campaignSpan.ID(),
+			outcome.Report = l.Close(len(runs), "aborted",
+				[]telemetry.Attr{telemetry.String("error", "aborted: "+reason)},
 				telemetry.Int("allocations", outcome.Allocations))
-			if e.Resilience != nil {
-				e.Resilience.Journal.Sync()
-			}
 			return outcome, nil
 		}
 		if len(next) == len(remaining) {
@@ -686,12 +625,7 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 	if len(utils) > 0 {
 		outcome.MeanUtilization = sum / float64(len(utils))
 	}
-	outcome.Report = e.rc.Report(len(runs))
-	campaignSpan.End(telemetry.Int("allocations", outcome.Allocations))
-	e.Events.Append(eventlog.Info, eventlog.CampaignDone, "", campaignSpan.ID(),
+	outcome.Report = l.Close(len(runs), "", []telemetry.Attr{telemetry.Int("allocations", outcome.Allocations)},
 		telemetry.Int("allocations", outcome.Allocations))
-	if e.Resilience != nil {
-		e.Resilience.Journal.Sync()
-	}
 	return outcome, nil
 }
